@@ -174,11 +174,11 @@ def formants(
     signs = np.sign(vals)
 
     roots: list[float] = []
-    for i in range(grid.size - 1):
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0)):
         if vals[i] == 0.0:
             # A finite value of exactly zero can only be a root; poles blow up.
             roots.append(float(grid[i]))
-        elif signs[i] * signs[i + 1] < 0:
+        else:
             x = _bisect(func, float(grid[i]), float(grid[i + 1]), tol)
             if _is_zero_crossing(func, x, tol):
                 roots.append(x)

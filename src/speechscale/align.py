@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimate import _token_table
 from .warp import Warp
 
 
@@ -81,30 +82,23 @@ def align_population(records, warp: Warp, vowel: str) -> AlignmentResult:
     lacking the vowel are left out; it is an error if none carry it or if
     formant counts disagree.
     """
-    rows = []
-    for record in records:
-        tokens = [t for t in record.tokens if t.vowel == vowel]
-        if tokens:
-            rows.append((record.speaker_id, tokens))
-    if not rows:
+    records = list(records)
+    rows, _, counts, hz = _token_table(records, (vowel,))
+    if not rows.size:
         raise ValueError(f"vowel {vowel!r} is absent from all records")
+    if np.any(counts != counts[0]):
+        raise ValueError(f"formant counts disagree across tokens: {np.unique(counts).tolist()}")
 
-    counts = {len(t.formants) for _, tokens in rows for t in tokens}
-    if len(counts) != 1:
-        raise ValueError(f"formant counts disagree across tokens: {sorted(counts)}")
-
-    ids = []
-    raw = []
-    warped = []
-    for sid, tokens in rows:
-        hz = np.array([t.formants for t in tokens], dtype=float)
-        nu = np.array([warp(t.formants) for t in tokens], dtype=float)
-        ids.append(sid)
-        # aggregate across repeated tokens: geometric mean in Hz, plain mean in nu
-        raw.append(np.exp(np.mean(np.log(hz), axis=0)))
-        warped.append(np.mean(nu, axis=0))
-    raw = np.array(raw)
-    warped = np.array(warped)
+    nu = np.asarray(warp(hz), dtype=float)
+    speakers, speaker_of_token = np.unique(rows, return_inverse=True)
+    n_tokens = np.bincount(speaker_of_token)[:, np.newaxis]
+    # aggregate across repeated tokens: geometric mean in Hz, plain mean in nu
+    log_sum, nu_sum = np.zeros((2, speakers.size, hz.shape[1]))
+    np.add.at(log_sum, speaker_of_token, np.log(hz))
+    np.add.at(nu_sum, speaker_of_token, nu)
+    ids = [records[row].speaker_id for row in speakers]
+    raw = np.exp(log_sum / n_tokens)
+    warped = nu_sum / n_tokens
 
     target = np.mean(warped, axis=0)
     alphas = best_translation(warped, target)

@@ -228,7 +228,6 @@ _CONFIG_KEYS = {
     "calibrate": True,
     "extend": False,
     "out": "out",
-    "seed": 0,
     "max_iters": 500,
     "tol": 1e-12,
 }
@@ -249,7 +248,6 @@ def _pipeline_config(args) -> dict:
         calibrate=not args.no_calibrate,
         extend=args.extend,
         out=args.out,
-        seed=args.seed,
         max_iters=args.max_iters,
         tol=args.tol,
     )
@@ -339,29 +337,19 @@ def _cmd_pipeline(args) -> int:
     state: dict = {}
     failure: Exception | None = None
     for name, filename, stage in _STAGES:
-        if failure is not None:
-            entries.append(
-                {"name": name, "path": filename, "sha256": None, "status": "skipped"}
-            )
-            continue
-        try:
-            artifact = stage(config, state)
-            write_bundle(artifact, out_dir / filename)
-            digest = hashlib.sha256((out_dir / filename).read_bytes()).hexdigest()
-            entries.append(
-                {"name": name, "path": filename, "sha256": digest, "status": "ok"}
-            )
-        except Exception as exc:
-            failure = exc
-            entries.append(
-                {
-                    "name": name,
-                    "path": filename,
-                    "sha256": None,
-                    "status": "failed",
-                    "error": str(exc),
-                }
-            )
+        path = out_dir / filename
+        entry = {"name": name, "path": filename, "sha256": None, "status": "skipped"}
+        if failure is None:
+            try:
+                write_bundle(stage(config, state), path)
+                entry.update(sha256=hashlib.sha256(path.read_bytes()).hexdigest(), status="ok")
+            except Exception as exc:
+                failure = exc
+                entry.update(status="failed", error=str(exc))
+        if entry["status"] != "ok":
+            # an earlier run's file would pass for this run's output
+            path.unlink(missing_ok=True)
+        entries.append(entry)
 
     manifest = {"config": config, "artifacts": entries}
     write_bundle(manifest, out_dir / "manifest.json")
@@ -466,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--grid-points", type=int, default=200)
     pipeline.add_argument("--no-calibrate", action="store_true")
     pipeline.add_argument("--extend", action="store_true")
-    pipeline.add_argument("--seed", type=int, default=0)
     pipeline.add_argument("--max-iters", type=int, default=500)
     pipeline.add_argument("--tol", type=float, default=1e-12)
     pipeline.add_argument("--out", default="out")

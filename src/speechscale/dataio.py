@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -405,14 +407,20 @@ def canonical_json(data) -> str:
 def write_bundle(artifact, path) -> None:
     """Write an artifact (a dict or anything with ``to_dict``) as canonical JSON.
 
-    Identical inputs always produce byte-identical files.
+    Identical inputs always produce byte-identical files. The text goes to a
+    temporary file in the same directory that then replaces ``path``, so
+    ``path`` never holds a partly written artifact.
     """
     data = artifact.to_dict() if hasattr(artifact, "to_dict") else artifact
     text = canonical_json(data) + "\n"
+    temporary = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(temporary, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.replace(temporary, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
         raise OSError(f"cannot write bundle {path}: {exc}") from exc
 
 

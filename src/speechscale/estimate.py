@@ -155,15 +155,23 @@ def _select_vowels(records, vowels) -> tuple[str, ...]:
     return selected
 
 
-def _mean_log_formants(record: SpeakerRecord, vowels) -> dict[tuple[str, int], float]:
-    """Mean ln(frequency) per (vowel, formant index) over the speaker's tokens."""
-    sums: dict[tuple[str, int], list[float]] = {}
-    for token in record.tokens:
-        if token.vowel not in vowels:
-            continue
-        for k, f in enumerate(token.formants):
-            sums.setdefault((token.vowel, k), []).append(np.log(f))
-    return {key: float(np.mean(vals)) for key, vals in sums.items()}
+def _token_table(records, vowels):
+    """The tokens of the selected vowels as arrays, in record and token order.
+
+    Returns per token the row of its speaker in ``records``, the index of its
+    vowel in ``vowels``, its formant count, and its formants in Hz padded
+    with NaN to the largest count.
+    """
+    column = {v: j for j, v in enumerate(vowels)}
+    tokens = [(row, t) for row, r in enumerate(records) for t in r.tokens if t.vowel in column]
+    rows = np.fromiter((row for row, _ in tokens), int, len(tokens))
+    vowel_index = np.fromiter((column[t.vowel] for _, t in tokens), int, len(tokens))
+    counts = np.fromiter((len(t.formants) for _, t in tokens), int, len(tokens))
+    hz = np.full((len(tokens), counts.max(initial=0)), np.nan)
+    hz[np.arange(hz.shape[1]) < counts[:, np.newaxis]] = np.fromiter(
+        (f for _, t in tokens for f in t.formants), float, counts.sum()
+    )
+    return rows, vowel_index, counts, hz
 
 
 def choose_partition(
@@ -190,23 +198,16 @@ def choose_partition(
     if not records:
         raise ValueError("no records given")
 
-    vowels = _select_vowels(records, vowels)
-    log_sums: dict[int, list[float]] = {}
-    counts: set[int] = set()
-    for record in records:
-        for token in record.tokens:
-            if token.vowel not in vowels:
-                continue
-            counts.add(len(token.formants))
-            for k, f in enumerate(token.formants):
-                log_sums.setdefault(k, []).append(np.log(f))
-    if not log_sums:
+    _, _, counts, hz = _token_table(records, _select_vowels(records, vowels))
+    if not counts.size:
         raise ValueError("no tokens match the vowel selection")
-    if len(counts) > 1:
+    if np.any(counts != counts[0]):
         raise ValueError(
-            f"per-formant-index bands need a uniform formant count, got {sorted(counts)}"
+            "per-formant-index bands need a uniform formant count, "
+            f"got {np.unique(counts).tolist()}"
         )
-    means = np.exp([np.mean(log_sums[k]) for k in sorted(log_sums)])
+    # contiguous rows, so each mean adds the tokens up as a mean of a list does
+    means = np.exp(np.mean(np.log(hz.T.copy()), axis=1))
     interior = np.sqrt(means[:-1] * means[1:])
     bounds = np.concatenate([[means[0] / 2.0], interior, [2.0 * means[-1]]])
     return BandPartition(tuple(bounds))
@@ -237,37 +238,38 @@ def compute_shifts(
     ids = [r.speaker_id for r in records]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate speaker ids")
-    per_speaker = {r.speaker_id: _mean_log_formants(r, vowels) for r in records}
 
-    for sid, table in per_speaker.items():
-        if not table:
-            raise ValueError(f"speaker {sid!r} has no tokens for vowels {list(vowels)}")
+    # mean ln(frequency) per speaker (row) and key (column); a key is a
+    # (vowel, formant index) pair, and the columns are in sorted key order
+    rows, vowel_index, _, hz = _token_table(records, sorted(vowels))
+    n_obs, log_sum = np.zeros((2, len(ids), len(vowels), hz.shape[1]))
+    np.add.at(n_obs, (rows, vowel_index), (~np.isnan(hz)).astype(float))
+    np.add.at(log_sum, (rows, vowel_index), np.nan_to_num(np.log(hz)))
+    n_obs, log_sum = n_obs.reshape(len(ids), -1), log_sum.reshape(len(ids), -1)
+    has = n_obs > 0
+    lacking = ~has.any(axis=1)
+    if lacking.any():
+        sid = ids[np.argmax(lacking)]
+        raise ValueError(f"speaker {sid!r} has no tokens for vowels {list(vowels)}")
+    table = np.divide(log_sum, n_obs, out=np.zeros_like(log_sum), where=has)
 
-    keys = sorted({key for table in per_speaker.values() for key in table})
     if reference == GRAND_MEAN:
-        ref_log = {
-            key: float(np.mean([t[key] for t in per_speaker.values() if key in t]))
-            for key in keys
-        }
+        ref_log = np.array([
+            np.mean(column[hit]) if hit.any() else np.nan
+            for column, hit in zip(table.T, has.T)
+        ])
     else:
-        if reference not in per_speaker:
+        if reference not in ids:
             raise ValueError(f"reference speaker {reference!r} not in records")
-        ref_log = dict(per_speaker[reference])
-        keys = [key for key in keys if key in ref_log]
+        row = ids.index(reference)
+        ref_log = np.where(has[row], table[row], np.nan)
 
-    n_bands = partition.n_bands
-    sums = np.zeros((len(ids), n_bands))
-    counts = np.zeros((len(ids), n_bands), dtype=int)
-    for key in keys:
-        ref_hz = float(np.exp(ref_log[key]))
-        if not partition.contains(ref_hz):
-            continue
-        band = partition.band_index(ref_hz)
-        for row, sid in enumerate(ids):
-            table = per_speaker[sid]
-            if key in table:
-                sums[row, band] += table[key] - ref_log[key]
-                counts[row, band] += 1
+    used = partition.contains(np.exp(ref_log))  # False for keys without a reference
+    bands = partition.band_index(np.exp(ref_log[used]))
+    # each (speaker, band) sum adds the speaker's shifts in sorted key order
+    sums, counts = np.zeros((2, len(ids), partition.n_bands))
+    np.add.at(sums.T, bands, np.where(has, table - ref_log, 0.0)[:, used].T)
+    np.add.at(counts.T, bands, has[:, used].T.astype(float))
 
     mask = counts > 0
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=mask)

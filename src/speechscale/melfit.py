@@ -98,20 +98,28 @@ def mel_eval(params: MelParams, f):
     return float(out) if np.ndim(f) == 0 else out
 
 
+def _affine_lstsq(x: np.ndarray, y: np.ndarray):
+    """Closed-form least squares ``y ~= a*x + c``; None when ``x`` is constant."""
+    n = x.size
+    sxx = float(x @ x)
+    sx = float(np.sum(x))
+    sxy = float(x @ y)
+    sy = float(np.sum(y))
+    det = n * sxx - sx * sx
+    if det <= 0:
+        return None
+    a = (n * sxy - sx * sy) / det
+    return a, (sy - a * sx) / n
+
+
 def _solve_for_b(f: np.ndarray, nu: np.ndarray, b: float, calibrate: bool):
     """Closed-form best (a, offset) at a fixed corner; returns (sse, a, offset)."""
     x = np.log10(1.0 + f / b)
     if calibrate:
-        n = f.size
-        sxx = float(x @ x)
-        sx = float(np.sum(x))
-        sxy = float(x @ nu)
-        sy = float(np.sum(nu))
-        det = n * sxx - sx * sx
-        if det <= 0:
+        solution = _affine_lstsq(x, nu)
+        if solution is None:
             return np.inf, 0.0, 0.0
-        a = (n * sxy - sx * sy) / det
-        c = (sy - a * sx) / n
+        a, c = solution
     else:
         sxx = float(x @ x)
         if sxx <= 0:
@@ -189,16 +197,10 @@ def compare_scales(warp: Warp, params: MelParams, grid) -> ScaleComparison:
     nu = np.asarray(warp(f), dtype=float)
     eta = mel_eval(params, f)
 
-    n = f.size
-    snn = float(nu @ nu)
-    sn = float(np.sum(nu))
-    sne = float(nu @ eta)
-    se = float(np.sum(eta))
-    det = n * snn - sn * sn
-    if det <= 0:
+    solution = _affine_lstsq(nu, eta)
+    if solution is None:
         raise ValueError("warp samples are constant; cannot calibrate")
-    gain = (n * sne - sn * se) / det
-    offset = (se - gain * sn) / n
+    gain, offset = solution
 
     calibrated = gain * nu + offset
     dev = calibrated - eta

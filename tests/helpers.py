@@ -3,7 +3,9 @@
 The oracles here are deliberately independent of the library's own search
 logic: the transfer-matrix resonance solver knows nothing about the
 closed-form characteristic, and the grid-scan root finder uses analytic pole
-locations instead of the library's magnitude screening.
+locations instead of the library's magnitude screening. The per-token
+references walk tokens one at a time through dicts and lists, as the library
+did before it reduced whole arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from speechscale import (
+    GRAND_MEAN,
     BandPartition,
     FormantSet,
     SpeakerRecord,
@@ -155,3 +158,83 @@ def mel_chord_warp(params, f_lo: float = 100.0, f_hi: float = 4000.0, n_bands: i
     eta = mel_eval(params, bounds)
     slopes = np.diff(eta) / np.diff(np.log(bounds))
     return build_piecewise(1.0 / slopes, BandPartition(tuple(bounds)))
+
+
+def reference_partition(records, vowels) -> BandPartition:
+    """Per-formant-index partition from per-token lists of log frequencies."""
+    log_sums: dict[int, list[float]] = {}
+    counts: set[int] = set()
+    for record in records:
+        for token in record.tokens:
+            if token.vowel not in vowels:
+                continue
+            counts.add(len(token.formants))
+            for k, f in enumerate(token.formants):
+                log_sums.setdefault(k, []).append(np.log(f))
+    if len(counts) > 1:
+        raise ValueError(
+            f"per-formant-index bands need a uniform formant count, got {sorted(counts)}"
+        )
+    means = np.exp([np.mean(log_sums[k]) for k in sorted(log_sums)])
+    interior = np.sqrt(means[:-1] * means[1:])
+    return BandPartition(tuple(np.concatenate([[means[0] / 2.0], interior, [2.0 * means[-1]]])))
+
+
+def _mean_log_formants(record, vowels) -> dict[tuple[str, int], float]:
+    sums: dict[tuple[str, int], list[float]] = {}
+    for token in record.tokens:
+        if token.vowel not in vowels:
+            continue
+        for k, f in enumerate(token.formants):
+            sums.setdefault((token.vowel, k), []).append(np.log(f))
+    return {key: float(np.mean(vals)) for key, vals in sums.items()}
+
+
+def reference_shifts(records, vowels, partition: BandPartition, reference=GRAND_MEAN):
+    """``compute_shifts`` key by key and speaker by speaker.
+
+    Returns the speaker ids, the speakers-by-bands values and their mask.
+    """
+    ids = [r.speaker_id for r in records]
+    per_speaker = {r.speaker_id: _mean_log_formants(r, vowels) for r in records}
+    for sid, table in per_speaker.items():
+        if not table:
+            raise ValueError(f"speaker {sid!r} has no tokens for vowels {list(vowels)}")
+    keys = sorted({key for table in per_speaker.values() for key in table})
+    if reference == GRAND_MEAN:
+        ref_log = {
+            key: float(np.mean([t[key] for t in per_speaker.values() if key in t]))
+            for key in keys
+        }
+    else:
+        ref_log = dict(per_speaker[reference])
+        keys = [key for key in keys if key in ref_log]
+    sums = np.zeros((len(ids), partition.n_bands))
+    counts = np.zeros((len(ids), partition.n_bands), dtype=int)
+    for key in keys:
+        ref_hz = float(np.exp(ref_log[key]))
+        if not partition.contains(ref_hz):
+            continue
+        band = partition.band_index(ref_hz)
+        for row, sid in enumerate(ids):
+            if key in per_speaker[sid]:
+                sums[row, band] += per_speaker[sid][key] - ref_log[key]
+                counts[row, band] += 1
+    mask = counts > 0
+    return tuple(ids), np.divide(sums, counts, out=np.zeros_like(sums), where=mask), mask
+
+
+def reference_alignment(records, warp, vowel):
+    """Per-speaker aggregates of ``align_population``, one warp call per token.
+
+    Returns the ids of the speakers with the vowel, their geometric-mean
+    formants in Hz and their mean warped formants.
+    """
+    ids, raw, warped = [], [], []
+    for record in records:
+        tokens = [t for t in record.tokens if t.vowel == vowel]
+        if tokens:
+            ids.append(record.speaker_id)
+            raw.append(np.exp(np.mean(np.log([t.formants for t in tokens]), axis=0)))
+            warped.append(np.mean([warp(t.formants) for t in tokens], axis=0))
+    return tuple(ids), np.array(raw), np.array(warped)

@@ -217,6 +217,7 @@ class TestPipeline:
         corpus = tmp_path / "c.csv"
         write_injected_corpus(corpus)
         out = tmp_path / "run"
+        assert run("pipeline", "--corpus", corpus, "--out", out) == 0
         code = run("pipeline", "--corpus", corpus, "--out", out,
                    "--align-vowel", "iy")
         assert code == 2
@@ -228,6 +229,11 @@ class TestPipeline:
             "alignment": "failed",
             "melfit_report": "skipped",
         }
+        # the good run's files must not pass for outputs of the failed run
+        assert not (out / "alignment.json").exists()
+        assert not (out / "melfit_report.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "corpus_summary.json", "manifest.json", "scale.json"]
 
     def test_missing_corpus_fails_before_writing(self, tmp_path):
         assert run("pipeline", "--corpus", tmp_path / "nope.csv",
@@ -238,8 +244,10 @@ class TestPipeline:
         corpus = tmp_path / "c.csv"
         write_injected_corpus(corpus)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"corpus": str(corpus), "mystery": 1}))
-        assert run("pipeline", "--config", config, "--out", tmp_path / "run") == 2
+        # no stage reads a seed, so the pipeline has no such key
+        for extra in ({"mystery": 1}, {"seed": 0}):
+            config.write_text(json.dumps({"corpus": str(corpus), **extra}))
+            assert run("pipeline", "--config", config, "--out", tmp_path / "run") == 2
 
 
 class TestPipelineTableFormat:

@@ -229,6 +229,14 @@ class TestBundles:
         with pytest.raises(OSError, match="missing-dir"):
             write_bundle(est, target)
 
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        est = estimate_scale(helpers.injected_beta_records())
+        target = tmp_path / "scale.json"
+        target.mkdir()  # a file cannot replace a directory
+        with pytest.raises(OSError, match="scale.json"):
+            write_bundle(est, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["scale.json"]
+
     def test_load_warp_from_either_document(self, tmp_path):
         est = estimate_scale(helpers.injected_beta_records())
         scale_path = tmp_path / "scale.json"

@@ -1,15 +1,19 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from speechscale import (
+    GRAND_MEAN,
     BandPartition,
     DegenerateDataError,
     EstimationError,
     FormantSet,
     LogWarp,
+    PiecewiseWarp,
     ScaleEstimate,
     ShiftMatrix,
     SpeakerRecord,
@@ -329,3 +333,90 @@ class TestEstimateScale:
             records.append(SpeakerRecord(sid, None, tokens))
         est = estimate_scale(records)
         assert np.max(np.abs(np.asarray(est.betas) - betas)) < 1e-6
+
+
+RAGGED_VOWELS = ("uw", "aa", "iy", "eh")
+RAGGED_PARTITION = BandPartition((80.0, 700.0, 1800.0, 7000.0))
+
+
+@st.composite
+def ragged_records(draw, uniform: bool):
+    """Speakers with a random subset of vowels, 1-9 tokens per (speaker,
+    vowel) in shuffled order, and 1-4 formants per token (one count for
+    every token when ``uniform``)."""
+    width = draw(st.integers(1, 4))
+    # unrounded frequencies; round ones would hide rounding differences
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for i in range(draw(st.integers(2, 6))):
+        sid = f"s{i}"
+        tokens = []
+        for vowel in draw(st.lists(st.sampled_from(RAGGED_VOWELS), min_size=1, unique=True)):
+            for _ in range(draw(st.integers(1, 9))):
+                n = width if uniform else draw(st.integers(1, width))
+                tokens.append(FormantSet(sid, vowel, tuple(np.sort(rng.uniform(100.0, 6000.0, n)))))
+        records.append(SpeakerRecord(sid, None, tuple(draw(st.permutations(tokens)))))
+    return records
+
+
+def drawn_vowels(data, records):
+    """A non-empty selection of the vowels present, in drawn (unsorted) order."""
+    present = sorted({t.vowel for r in records for t in r.tokens})
+    return data.draw(st.lists(st.sampled_from(present), min_size=1, unique=True))
+
+
+def assert_matches(got, want, records):
+    """Equal bits when no (speaker, vowel) has 8 tokens; within 1e-12 otherwise.
+
+    np.mean adds 8 or more values pairwise and the array path adds them in
+    sequence, so only then may the last bits differ. 1e-12, also absolute for
+    shifts that cancel to about 0, is far above that and far below any real
+    difference.
+    """
+    tokens = Counter((r.speaker_id, t.vowel) for r in records for t in r.tokens)
+    if max(tokens.values()) < 8:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestArraysMatchPerTokenReference:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_partition(self, data):
+        records = data.draw(ragged_records(uniform=True))
+        vowels = drawn_vowels(data, records)
+        got = choose_partition(records, vowels)
+        # the same means over the same values in the same order
+        assert got == helpers.reference_partition(records, vowels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_shifts(self, data):
+        records = data.draw(ragged_records(uniform=False))
+        vowels = drawn_vowels(data, records)
+        reference = data.draw(st.sampled_from([GRAND_MEAN] + [r.speaker_id for r in records]))
+        try:
+            ids, values, mask = helpers.reference_shifts(
+                records, vowels, RAGGED_PARTITION, reference)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                compute_shifts(records, vowels, RAGGED_PARTITION, reference)
+            assert str(raised.value) == str(exc)
+            return
+        got = compute_shifts(records, vowels, RAGGED_PARTITION, reference)
+        assert got.speaker_ids == ids
+        np.testing.assert_array_equal(got.mask, mask)
+        assert_matches(got.values, values, records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_alignment(self, data):
+        records = data.draw(ragged_records(uniform=True))
+        vowel = drawn_vowels(data, records)[0]
+        warp = PiecewiseWarp(RAGGED_PARTITION, (1.2, 0.9, 1.0))
+        ids, raw, warped = helpers.reference_alignment(records, warp, vowel)
+        got = align_population(records, warp, vowel)
+        assert got.speaker_ids == ids
+        assert_matches(got.formants_raw_hz, raw, records)
+        assert_matches(got.formants_warped, warped, records)
