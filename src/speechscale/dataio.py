@@ -259,6 +259,8 @@ def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
             data = list(reader)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CorpusError(f"cannot parse corpus {path}: {exc}") from exc
 
     header = [h.strip() for h in header]
     formant_columns = column_map.formant_columns

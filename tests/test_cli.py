@@ -203,15 +203,70 @@ class TestPipeline:
         write_injected_corpus(corpus)
         config = tmp_path / "config.json"
         out = tmp_path / "run"
-        config.write_text(
-            json.dumps({"corpus": str(corpus), "out": str(out), "reference": "s00"}),
-            encoding="utf-8",
-        )
-        # the flag points at a missing corpus; the config file wins
-        assert run("pipeline", "--config", config, "--corpus",
-                   tmp_path / "nope.csv", "--out", tmp_path / "ignored") == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["reference"] == "s00"
+        # b_range and vowels take their flag's text or a JSON list; ints pass as floats
+        for forms in ({"b_range": "60:4000", "vowels": "aa"},
+                      {"b_range": [60, 4000], "vowels": ["aa"]}):
+            config.write_text(
+                json.dumps({"corpus": str(corpus), "out": str(out), "reference": "s00",
+                            **forms}),
+                encoding="utf-8",
+            )
+            # the flag points at a missing corpus; the config file wins
+            assert run("pipeline", "--config", config, "--corpus",
+                       tmp_path / "nope.csv", "--out", tmp_path / "ignored") == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["reference"] == "s00"
+            assert json.dumps(manifest["config"]["b_range"]) == "[60.0, 4000.0]"
+            assert manifest["config"]["vowels"] == ["aa"]
+
+    def test_default_config_schema(self, tmp_path):
+        # the benchmark's traced replay hard-codes these defaults
+        corpus = tmp_path / "c.csv"
+        write_injected_corpus(corpus)
+        out = tmp_path / "run"
+        assert run("pipeline", "--corpus", corpus, "--out", out) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        expected = {
+            "align_vowel": None,
+            "b_range": [50.0, 5000.0],
+            "calibrate": True,
+            "column_map": None,
+            "corpus": str(corpus),
+            "extend": False,
+            "format": "csv",
+            "grid_points": 200,
+            "max_iters": 500,
+            "out": str(out),
+            "partition": "per-formant",
+            "reference": "grand-mean",
+            "tol": 1e-12,
+            "vowels": None,
+        }
+        # json text tells 200 from 200.0 and True from 1
+        assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"calibrate": "no"}', "'calibrate'"),
+        ('{"extend": "false"}', "'extend'"),
+        ('{"grid_points": "200"}', "'grid_points'"),
+        ('{"max_iters": 10.5}', "'max_iters'"),
+        ('{"partition": 5}', "'partition'"),
+        ('{"vowels": 5}', "'vowels'"),
+        ('{"tol": "1e-9"}', "'tol'"),
+        ('{"out": 5}', "'out'"),
+        ('{"b_range": [50]}', "'b_range'"),
+        ("null", "JSON object"),
+    ])
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, text, named):
+        corpus = tmp_path / "c.csv"
+        write_injected_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("pipeline", "--config", config, "--corpus", corpus, "--out", out) == 2
+        assert named in capsys.readouterr().err
+        # no output directory, no manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "config.json"]
 
     def test_stage_failure_marks_downstream_skipped(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"
@@ -296,10 +351,23 @@ w05ae 250 208 792 0 2891 792 2064 2891
 
 
 class TestParser:
-    def test_bad_subcommand_exits_2(self):
+    def test_bad_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["transmogrify"])
         assert info.value.code == 2
+        # a malformed pair names its flag and the form it takes
+        for argv in (
+            ["fit-mel", "--warp", "w.json", "--b-range", "50:x"],
+            ["fit-mel", "--warp", "w.json", "--grid", "50"],
+            ["synth", "--oral-range", "0.06:0.08:0.10"],
+            ["pipeline", "--b-range", ""],
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {argv[-2]}: must look like LO:HI" in err
 
     def test_bad_partition_spec_is_user_error(self, tmp_path):
         corpus = tmp_path / "c.csv"

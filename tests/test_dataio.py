@@ -1,12 +1,16 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from speechscale import (
     ColumnMap,
+    Corpus,
     CorpusError,
     PiecewiseWarp,
     canonical_json,
@@ -275,3 +279,38 @@ class TestCanonicalCsv:
         write_canonical_csv(records, a)
         write_canonical_csv(records, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+HILLENBRAND_MAP = ColumnMap.from_dict(json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "hillenbrand_bigdata.json")
+    .read_text(encoding="utf-8")))
+CELLS = st.one_of(
+    st.sampled_from(["", "0", "300", "700", "1200", "2500", "-1", "nan", "inf", "1e400",
+                     "m01ae", "w12iy", '"', "aa"]),
+    st.text(max_size=6),
+)
+
+
+class TestParsersRejectCleanly:
+    """Whatever the bytes, a parser returns a Corpus or raises CorpusError."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        header=st.sampled_from(["speaker_id,group,vowel,f1_hz,f2_hz,f3_hz", "f1_hz", ""]),
+        rows=st.lists(st.lists(CELLS, max_size=8), max_size=6),
+        trailing=st.binary(max_size=8),
+    )
+    # a quoted field beyond the csv module's field size limit
+    @example(header="speaker_id,vowel,f1_hz", rows=[['"' + "9" * 131073 + '"']],
+             trailing=b"")
+    def test_arbitrary_input(self, header, rows, trailing):
+        parsers = ((",", parse_csv), (" ", lambda path: parse_table(path, HILLENBRAND_MAP)))
+        for separator, parse in parsers:
+            data = "\n".join([header, *(separator.join(row) for row in rows)])
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "corpus"
+                path.write_bytes(data.encode("utf-8") + trailing)
+                try:
+                    assert isinstance(parse(path), Corpus)
+                except CorpusError:
+                    pass
