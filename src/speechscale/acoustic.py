@@ -91,23 +91,27 @@ class FormantSet:
         return len(self.formants)
 
 
+def _two_sections(config: TubeConfig) -> tuple[TubeSection, ...]:
+    if len(config.sections) != 2:
+        raise ValueError(f"the model needs exactly two sections, got {len(config.sections)}")
+    return config.sections
+
+
 def characteristic(config: TubeConfig, f):
     """Signed resonance residual of a two-section tube at frequency ``f`` in Hz.
 
     The residual is the series impedance balance at the junction,
-    ``A2*cot(k*L1) - A1*tan(k*L2)`` with ``k = 2*pi*f/c`` (glottis end closed,
-    lip end open; a wide lip section therefore raises the first resonance).
-    Its zero crossings, excluding the poles of cot/tan, are the model's
-    resonances. Accepts a scalar or an array of frequencies.
+    ``A2*cot(x1) - A1*tan(x2)`` with ``x_i = 2*pi*f*L_i/c`` (glottis end
+    closed, lip end open; a wide lip section therefore raises the first
+    resonance). Multiplied by ``sin(x1)*cos(x2)`` it becomes the pole-free
+    residual ``g = (A2-A1)/2*cos(x1-x2) + (A2+A1)/2*cos(x1+x2)`` with the same
+    zeros, which is what ``formants`` solves. Accepts a scalar or an array of
+    frequencies.
     """
-    if len(config.sections) != 2:
-        raise ValueError(
-            f"characteristic is defined for exactly two sections, got {len(config.sections)}"
-        )
+    back, front = _two_sections(config)
     arr = np.asarray(f, dtype=float)
     if arr.size and not (np.all(np.isfinite(arr)) and np.all(arr > 0)):
         raise ValueError("frequencies must be positive and finite")
-    back, front = config.sections
     k = 2.0 * np.pi * arr / config.speed_of_sound
     x1 = k * back.length
     x2 = k * front.length
@@ -115,30 +119,57 @@ def characteristic(config: TubeConfig, f):
     return float(res) if np.ndim(f) == 0 else res
 
 
-def _bisect(func, lo: float, hi: float, tol: float) -> float:
-    """Refine a bracketed sign change down to width ``tol``."""
-    flo = func(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _resonances(back_length, front_length, back_area, front_area, speed_of_sound,
+                count, f_max, scan_step, tol) -> np.ndarray:
+    """Resonances 1..``count`` of a batch of tracts, one row per tract.
+
+    Lengths are (tracts, 1) columns or scalars; a resonance above the last
+    ``scan_step`` grid point below ``f_max`` is NaN. See ``formants``.
+    """
+    if not (np.isfinite(f_max) and f_max > 0):
+        raise ValueError(f"f_max must be > 0, got {f_max!r}")
+    if scan_step <= 0 or tol <= 0:
+        raise ValueError("scan_step and tol must be > 0")
+    n = np.arange(1, count + 1)
+    low_sign = (-1.0) ** (n - 1)  # the sign g(f_{n-1}) keeps up to root n
+
+    def residual(f):
+        # g times low_sign: > 0 below root n and < 0 above it, inside its bracket
+        k = 2.0 * np.pi * f / speed_of_sound
+        x1, x2 = k * back_length, k * front_length
+        return low_sign * (0.5 * (front_area - back_area) * np.cos(x1 - x2)
+                           + 0.5 * (front_area + back_area) * np.cos(x1 + x2))
+
+    grid = np.arange(0.0, f_max + 0.5 * scan_step, scan_step)
+    period = speed_of_sound / (2.0 * (back_length + front_length))
+    # grid[lo] lies below root n and grid[hi] above it (hi == grid.size: above f_max)
+    lo = np.searchsorted(grid, (n - 1) * period, side="right") - 1
+    hi = np.searchsorted(grid, n * period)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        above = (residual(grid[mid]) <= 0.0) & (hi - lo > 1)
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+
+    active = found = hi < grid.size
+    lo_f, hi_f = grid[lo], grid[np.minimum(hi, grid.size - 1)]
+    for _ in range(200):  # only a tol below the float spacing reaches this cap
+        mid = 0.5 * (lo_f + hi_f)
+        active = active & (hi_f - lo_f >= tol)
+        if not active.any():
+            break
+        res = residual(mid)
+        active = active & (res != 0.0)
+        lo_f = np.where(active & (res > 0.0), mid, lo_f)
+        hi_f = np.where(active & (res < 0.0), mid, hi_f)
+    return np.where(found, 0.5 * (lo_f + hi_f), np.nan)
 
 
-def _is_zero_crossing(func, x: float, tol: float) -> bool:
-    # Poles of cot/tan also flip the sign. Near a pole the magnitude grows
-    # toward the crossing; near a root it shrinks.
-    probe = 10.0 * tol
-    mid = abs(func(x))
-    near = max(abs(func(max(x - probe, 0.5 * probe))), abs(func(x + probe)))
-    return mid < near
+def _formant_set(roots: np.ndarray, f_max: float, speaker_id: str, vowel: str) -> FormantSet:
+    found = roots[~np.isnan(roots)]
+    if found.size < roots.size:
+        warnings.warn(f"only {found.size} of {roots.size} resonances found below {f_max} Hz",
+                      IncompleteScanWarning, stacklevel=3)
+    return FormantSet(speaker_id=speaker_id, vowel=vowel, formants=tuple(found.tolist()))
 
 
 def formants(
@@ -153,47 +184,22 @@ def formants(
 ) -> FormantSet:
     """Lowest ``count`` resonances of the two-section model below ``f_max``.
 
-    Scans the characteristic on a ``scan_step`` Hz grid, keeps the sign
-    changes that are actual zero crossings (crossings across a cot/tan pole
-    are screened out), and refines each root by bisection to an absolute
-    tolerance of ``tol`` Hz. If the ceiling cuts the list short, the partial
-    ascending list is returned and an ``IncompleteScanWarning`` is issued.
+    The roots are the zeros of the pole-free residual ``g`` (see
+    ``characteristic``). With ``f_n = n*c/(2*(L1+L2))``, ``g(f_n)`` has the
+    sign of ``(-1)**n`` because ``|A2-A1| < A2+A1``, so resonance ``n`` is the
+    one root in ``(f_{n-1}, f_n)``. All roots are bisected at once: first over
+    the points of a ``scan_step`` Hz grid to the grid cell holding the root,
+    then inside that cell until the bracket is narrower than ``tol`` Hz or
+    ``g`` is exactly zero, returning the bracket's midpoint. A root above the
+    grid's last point is not reported: the partial ascending list is returned
+    and an ``IncompleteScanWarning`` is issued.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not (np.isfinite(f_max) and f_max > 0):
-        raise ValueError(f"f_max must be > 0, got {f_max!r}")
-    if scan_step <= 0 or tol <= 0:
-        raise ValueError("scan_step and tol must be > 0")
-
-    def func(f):
-        return characteristic(config, f)
-
-    grid = np.arange(scan_step, f_max + 0.5 * scan_step, scan_step)
-    vals = characteristic(config, grid)
-    signs = np.sign(vals)
-
-    roots: list[float] = []
-    for i in np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0)):
-        if vals[i] == 0.0:
-            # A finite value of exactly zero can only be a root; poles blow up.
-            roots.append(float(grid[i]))
-        else:
-            x = _bisect(func, float(grid[i]), float(grid[i + 1]), tol)
-            if _is_zero_crossing(func, x, tol):
-                roots.append(x)
-        if len(roots) >= count:
-            break
-    if vals[-1] == 0.0 and len(roots) < count:
-        roots.append(float(grid[-1]))
-
-    if len(roots) < count:
-        warnings.warn(
-            f"only {len(roots)} of {count} resonances found below {f_max} Hz",
-            IncompleteScanWarning,
-            stacklevel=2,
-        )
-    return FormantSet(speaker_id=speaker_id, vowel=vowel, formants=tuple(roots))
+    back, front = _two_sections(config)
+    roots = _resonances(np.array([[back.length]]), np.array([[front.length]]), back.area,
+                        front.area, config.speed_of_sound, count, f_max, scan_step, tol)
+    return _formant_set(roots[0], f_max, speaker_id, vowel)
 
 
 def scale_tract(config: TubeConfig, kappa: float, which: str = "all") -> TubeConfig:
@@ -231,7 +237,9 @@ def synth_population(
     (meters). With ``vary="oral_only"`` the glottis-end section and all areas
     stay fixed; with ``vary="all"`` the whole tract is rescaled so the lip-end
     section hits the sampled length (pure homothety, formants scale inversely).
-    The same seed always reproduces the same population.
+    The same seed always reproduces the same population. One lockstep
+    bisection (see ``formants``) solves every tract, so each speaker's formants
+    equal ``formants`` of its own tract, short ones with a warning each.
     """
     lo, hi = float(oral_length_range[0]), float(oral_length_range[1])
     if speaker_count < 2:
@@ -243,25 +251,17 @@ def synth_population(
     if vary not in ("oral_only", "all"):
         raise ValueError(f"vary must be 'oral_only' or 'all', got {vary!r}")
 
+    back, front = _two_sections(base)
     rng = np.random.default_rng(seed)
-    lengths = rng.uniform(lo, hi, speaker_count)
+    lengths = rng.uniform(lo, hi, (speaker_count, 1))  # the flat draws, as one column
+    if vary == "oral_only":
+        back_length, front_length = back.length, lengths
+    else:
+        kappa = lengths / front.length  # scale_tract's arithmetic: length * kappa
+        back_length, front_length = back.length * kappa, front.length * kappa
+    roots = _resonances(back_length, front_length, back.area, front.area,
+                        base.speed_of_sound, formant_count, f_max, 1.0, tol)
     width = max(2, len(str(speaker_count - 1)))
-
-    population: list[FormantSet] = []
-    for i, length in enumerate(lengths):
-        if vary == "oral_only":
-            sections = base.sections[:-1] + (TubeSection(float(length), base.sections[-1].area),)
-            cfg = TubeConfig(sections, base.speed_of_sound)
-        else:
-            cfg = scale_tract(base, float(length) / base.sections[-1].length, "all")
-        population.append(
-            formants(
-                cfg,
-                formant_count,
-                f_max,
-                speaker_id=f"s{i:0{width}d}",
-                vowel=vowel,
-                tol=tol,
-            )
-        )
-    return population
+    return [
+        _formant_set(row, f_max, f"s{i:0{width}d}", vowel) for i, row in enumerate(roots)
+    ]

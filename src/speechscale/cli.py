@@ -189,6 +189,12 @@ def _cmd_synth(args) -> None:
         f_max=args.f_max,
         vowel=args.vowel,
     )
+    for fs in population:
+        if len(fs) < args.formants:
+            raise ValueError(
+                f"speaker {fs.speaker_id} has only {len(fs)} resonances below --f-max "
+                f"{args.f_max:g} Hz, fewer than --formants {args.formants}; no corpus written"
+            )
     records = records_from_tokens(population, group="synth")
     write_canonical_csv(records, args.out)
     means = np.exp(

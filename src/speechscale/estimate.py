@@ -306,6 +306,12 @@ def rank1_factor(
         raise EstimationError("need at least 2 bands with data")
     if np.count_nonzero(mask.any(axis=1)) < 2:
         raise EstimationError("need at least 2 speakers with data")
+    empty = [label for label, seen in zip(shifts.band_labels, mask.any(axis=0)) if not seen]
+    if empty:
+        raise EstimationError(
+            f"no speaker has a shift in band(s) {', '.join(empty)} against reference "
+            f"{shifts.reference!r}; no key of the reference has its mean frequency there"
+        )
     if shifts.observed_rms() < DEGENERATE_RMS:
         raise DegenerateDataError("no speaker variation: shift matrix is numerically zero")
 

@@ -3,9 +3,10 @@
 The oracles here are deliberately independent of the library's own search
 logic: the transfer-matrix resonance solver knows nothing about the
 closed-form characteristic, and the grid-scan root finder uses analytic pole
-locations instead of the library's magnitude screening. The per-token
-references walk tokens one at a time through dicts and lists, as the library
-did before it reduced whole arrays.
+locations instead of bracketing the pole-free residual. ``reference_formants``
+is the library's earlier 1 Hz scan of the characteristic with magnitude
+screening of poles. The per-token references walk tokens one at a time through
+dicts and lists, as the library did before it reduced whole arrays.
 """
 
 from __future__ import annotations
@@ -71,40 +72,88 @@ def transfer_matrix_resonances(config: TubeConfig, f_max: float, step: float = 0
     Starts from the open lip end (p=0, U=1) and propagates section by section
     back to the glottis; resonance is where the glottis volume velocity
     crosses zero. Completely independent of the closed-form characteristic.
+    Vectorized over frequency; every sign change is bisected 60 times.
     """
 
-    def u_glottis(f: float) -> float:
+    def u_glottis(f):
         k = 2.0 * np.pi * f / config.speed_of_sound
-        p, u = 0.0 + 0.0j, 1.0 + 0.0j
+        p = np.zeros(np.shape(f), dtype=complex)
+        u = np.ones(np.shape(f), dtype=complex)
         for section in reversed(config.sections):
             kl = k * section.length
-            m = np.array(
-                [
-                    [np.cos(kl), 1j * np.sin(kl) / section.area],
-                    [1j * section.area * np.sin(kl), np.cos(kl)],
-                ]
-            )
-            p, u = m @ np.array([p, u])
+            cos, sin = np.cos(kl), np.sin(kl)
+            p, u = cos * p + 1j * sin / section.area * u, 1j * section.area * sin * p + cos * u
         # one of the components is identically zero (parity of the chain);
         # the sum keeps the signed nonzero one
-        return float(u.real + u.imag)
+        return u.real + u.imag
 
     grid = np.arange(step, f_max, step)
-    vals = np.array([u_glottis(f) for f in grid])
+    vals = u_glottis(grid)
+    cells = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    lo, hi = grid[cells], grid[cells + 1]
+    flo = vals[cells]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fmid = u_glottis(mid)
+        same = (fmid < 0.0) == (flo < 0.0)
+        lo, flo, hi = np.where(same, mid, lo), np.where(same, fmid, flo), np.where(same, hi, mid)
+    # a grid point that is an exact zero is a root with no sign change
+    return sorted((0.5 * (lo + hi)).tolist() + grid[vals == 0.0].tolist())
+
+
+def _bisect(func, lo: float, hi: float, tol: float) -> float:
+    """Refine a bracketed sign change down to width ``tol``."""
+    flo = func(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol:
+            return mid
+        fmid = func(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _is_zero_crossing(func, x: float, tol: float) -> bool:
+    # Poles of cot/tan also flip the sign. Near a pole the magnitude grows
+    # toward the crossing; near a root it shrinks.
+    probe = 10.0 * tol
+    mid = abs(func(x))
+    near = max(abs(func(max(x - probe, 0.5 * probe))), abs(func(x + probe)))
+    return mid < near
+
+
+def reference_formants(config: TubeConfig, count: int, f_max: float = 8000.0,
+                       scan_step: float = 1.0, tol: float = 0.01) -> tuple[float, ...]:
+    """The library's earlier ``formants``: a ``scan_step`` grid scan of the
+    characteristic, sign changes screened for cot/tan poles by magnitude and
+    refined by bisection. Where a pole shares a grid cell with a root, or
+    coincides with one, the root is missed and later formants shift down.
+    """
+
+    def func(f):
+        return characteristic(config, f)
+
+    grid = np.arange(scan_step, f_max + 0.5 * scan_step, scan_step)
+    vals = characteristic(config, grid)
     signs = np.sign(vals)
-    roots = []
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = u_glottis(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fmid = u_glottis(mid)
-            if (fmid < 0.0) == (flo < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return roots
+    roots: list[float] = []
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0)):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        else:
+            x = _bisect(func, float(grid[i]), float(grid[i + 1]), tol)
+            if _is_zero_crossing(func, x, tol):
+                roots.append(x)
+        if len(roots) >= count:
+            break
+    if vals[-1] == 0.0 and len(roots) < count:
+        roots.append(float(grid[-1]))
+    return tuple(roots)
 
 
 def injected_beta_records(

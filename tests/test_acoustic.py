@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from speechscale import (
@@ -125,6 +128,76 @@ class TestFormants:
         base = formants(AA_LIKE, 3, 16000.0).formants
         scaled = formants(scale_tract(AA_LIKE, kappa, "all"), 3, 16000.0).formants
         assert np.allclose(np.asarray(scaled), np.asarray(base) / kappa, atol=0.1)
+
+
+def check_against_transfer_matrix(config, count=4, f_max=8000.0):
+    """Every root is a true resonance, one per bracket, bit-equal to the
+    earlier grid scan wherever that scan was right."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteScanWarning)
+        got = formants(config, count, f_max).formants
+    truth = np.array(helpers.transfer_matrix_resonances(config, f_max + 1.0))
+    assert np.allclose(got, truth[: len(got)], atol=0.05)
+    assert np.all(truth[len(got) : count] > f_max - 0.05)  # only roots above f_max go
+    # exactly one resonance in each (f_{n-1}, f_n) with f_n = n*c/(2*(L1+L2))
+    period = config.speed_of_sound / (2.0 * config.total_length)
+    edges = period * np.arange(int(f_max // period) + 1)
+    assert np.all(np.histogram(truth, bins=edges)[0] == 1)
+    n = np.arange(1, len(got) + 1)
+    assert np.all(((n - 1) * period < np.asarray(got)) & (np.asarray(got) < n * period))
+    reference = helpers.reference_formants(config, count, f_max)
+    # a root on a point the bisection evaluates (a multiple of 2**-7 Hz) lands on
+    # either side of it by rounding, in the old residual as in the new one
+    ticks = truth[: len(got)] * 2.0**7
+    on_tick = np.any(np.abs(ticks - np.round(ticks)) < 1e-3)
+    agrees = len(reference) == len(got) and np.allclose(reference, truth[: len(got)], atol=0.05)
+    if agrees and not on_tick:
+        assert got == reference
+
+
+class TestAgainstTransferMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        back=st.floats(0.02, 0.2),
+        front=st.floats(0.02, 0.2),
+        area_ratio=st.floats(0.1, 10.0),
+    )
+    def test_random_tracts(self, back, front, area_ratio):
+        check_against_transfer_matrix(TubeConfig.two_tube(back, front, 1.0, area_ratio))
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            # a cot pole on a tan pole: L1/L2 = 2n/(2m+1)
+            (0.1, 0.05, 1.0, 4.0),
+            (0.09, 0.0675, 1.0, 4.0),
+            (0.04, 0.06, 3.0, 1.0),
+            (0.16, 0.04, 1.0, 0.2),
+            (0.12, 0.1, 1.0, 10.0),
+            # the same poles a hair apart
+            (0.1, 0.05 * (1 + 1e-9), 1.0, 4.0),
+            (0.1, 0.05 * (1 - 1e-6), 1.0, 4.0),
+            (0.09 * (1 + 1e-4), 0.0675, 1.0, 4.0),
+            # equal areas: a uniform quarter-wave tube
+            (0.0875, 0.0875, 1.0, 1.0),
+            (0.1, 0.05, 2.0, 2.0),
+        ],
+    )
+    def test_pole_coincidences_and_equal_areas(self, geometry):
+        check_against_transfer_matrix(TubeConfig.two_tube(*geometry))
+
+    def test_coincident_poles_keep_their_resonance(self):
+        # the earlier grid scan dropped these roots and shifted later formants down
+        got = formants(TubeConfig.two_tube(0.1, 0.05, 1.0, 4.0), 4).formants
+        assert round(got[1], 1) == 1750.0
+        got = formants(TubeConfig.two_tube(0.09, 0.0675, 1.0, 4.0), 4).formants
+        assert round(got[3], 1) == 3888.9
+
+    def test_population_matches_one_tract_at_a_time(self):
+        pop = synth_population(AA_LIKE, 6, (0.045, 0.11), 4, seed=4, vary="all")
+        kappas = np.random.default_rng(4).uniform(0.045, 0.11, 6) / AA_LIKE.sections[1].length
+        for fs, kappa in zip(pop, kappas):
+            assert fs.formants == formants(scale_tract(AA_LIKE, kappa, "all"), 4).formants
 
 
 class TestScaleTract:

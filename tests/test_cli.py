@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from speechscale import (
+    IncompleteScanWarning,
     STANDARD_MEL,
     TubeConfig,
     TubeSection,
@@ -46,6 +47,21 @@ class TestSynth:
         code = run("synth", "--speakers", 1, "--out", tmp_path / "x.csv")
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f_max, speaker", [(3000, "s00"), (3600, "s01")])
+    def test_ceiling_below_a_requested_formant_writes_nothing(
+        self, tmp_path, capsys, f_max, speaker
+    ):
+        # 3000 Hz cuts every speaker's F4, 3600 Hz only some speakers'
+        out = tmp_path / "c.csv"
+        with pytest.warns(IncompleteScanWarning):
+            code = run("synth", "--formants", 4, "--f-max", f_max, "--out", out)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"speaker {speaker} has only 3 resonances" in err
+        assert f"--f-max {f_max} Hz" in err
+        assert "--formants 4" in err
 
     def test_default_output_satisfies_the_resonance_condition(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -93,6 +109,17 @@ class TestEstimate:
         assert code == 0
         est = load_scale_estimate(out)
         assert est.partition.boundaries == (250.0, 866.0, 1936.0, 5000.0)
+
+    def test_reference_without_a_band_names_the_band(self, tmp_path, capsys):
+        # s00's F4 lies below the lower edge of per-formant band 4, so no key
+        # of the reference falls in that band
+        corpus = tmp_path / "c.csv"
+        assert run("synth", "--speakers", 10, "--seed", 5, "--formants", 4,
+                   "--out", corpus) == 0
+        code = run("estimate", "--corpus", corpus, "--reference", "s00",
+                   "--out", tmp_path / "s.json")
+        assert code == 2
+        assert "band(s) 3152.88-7113.3Hz against reference 's00'" in capsys.readouterr().err
 
     def test_missing_corpus_is_user_error(self, tmp_path, capsys):
         assert run("estimate", "--corpus", tmp_path / "nope.csv") == 2

@@ -254,6 +254,14 @@ class TestRank1Factor:
         with pytest.raises(ValueError):
             rank1_factor(shifts, tol=-1.0)
 
+    def test_empty_band_is_named_before_iterating(self):
+        shifts, _, _ = self.exact_matrix()
+        mask = np.array(shifts.mask)
+        mask[:, 1] = False
+        empty = ShiftMatrix(shifts.speaker_ids, shifts.band_labels, shifts.values, mask, "c")
+        with pytest.raises(EstimationError, match=r"band\(s\) b2 against reference 'c'"):
+            rank1_factor(empty)
+
     def test_needs_two_rows_and_columns(self):
         values = np.array([[0.1, 0.2]])
         with pytest.raises(EstimationError):
