@@ -78,14 +78,21 @@ class FormantSet:
     formants: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        formants = tuple(float(f) for f in self.formants)
+        formants = tuple(map(float, self.formants))
         object.__setattr__(self, "formants", formants)
-        arr = np.asarray(formants, dtype=float)
-        if arr.size:
-            if not (np.all(np.isfinite(arr)) and np.all(arr > 0)):
-                raise ValueError(f"formants must be positive and finite, got {formants}")
-            if not np.all(np.diff(arr) > 0):
-                raise ValueError(f"formants must be strictly ascending, got {formants}")
+        if not all(0.0 < f < np.inf for f in formants):
+            raise ValueError(f"formants must be positive and finite, got {formants}")
+        if not all(a < b for a, b in zip(formants, formants[1:])):
+            raise ValueError(f"formants must be strictly ascending, got {formants}")
+
+    @classmethod
+    def _trusted(cls, speaker_id: str, vowel: str, formants: tuple[float, ...]) -> "FormantSet":
+        """A token whose formants the caller has checked: floats, positive, finite, ascending."""
+        token = object.__new__(cls)
+        object.__setattr__(token, "speaker_id", speaker_id)
+        object.__setattr__(token, "vowel", vowel)
+        object.__setattr__(token, "formants", formants)
+        return token
 
     def __len__(self) -> int:
         return len(self.formants)

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -63,6 +64,8 @@ class ColumnMap:
                 raise ValueError(f"id_regex is missing named groups: {sorted(needed)}")
         if self.skip_lines < 0:
             raise ValueError("skip_lines must be >= 0")
+        if not isinstance(self.missing_sentinel, numbers.Real):
+            raise ValueError(f"missing_sentinel must be a number, got {self.missing_sentinel!r}")
 
     @classmethod
     def legacy_table(cls, formant_columns=(2, 3, 4), skip_lines: int = 0,
@@ -136,11 +139,9 @@ class Corpus:
 
 
 def _group_from_rule(column_map: ColumnMap, speaker_id: str, regex_group: str | None):
-    if column_map.group_rule is not None:
-        for prefix, label in column_map.group_rule:
-            if speaker_id.startswith(prefix):
-                return label
-        return regex_group
+    for prefix, label in column_map.group_rule or ():
+        if speaker_id.startswith(prefix):
+            return label
     return regex_group
 
 
@@ -157,16 +158,33 @@ def _split_id(column_map: ColumnMap, token: str):
     return speaker, parts["vowel"], group
 
 
-def _assemble(rows, column_map: ColumnMap, source: str) -> Corpus:
-    """Build a Corpus from (line_no, id_cell, vowel_cell, group_cell, formant_cells)."""
-    issues: list[RowIssue] = []
-    tokens: dict[str, list[FormantSet]] = {}
-    groups: dict[str, str | None] = {}
+def _non_numeric(cells) -> str:
+    """The first cell that ``float()`` rejects."""
+    for cell in cells:
+        try:
+            float(cell)
+        except ValueError:
+            return cell
 
-    for line_no, id_cell, vowel_cell, group_cell, formant_cells in rows:
-        if formant_cells is None:
+
+def _assemble(numbered_cells, columns, column_map: ColumnMap, source: str) -> Corpus:
+    """Build a Corpus from the (line_no, cells) of each row, in file order.
+
+    ``columns`` holds the cell index of the id, the vowel (or None), the group
+    (or None) and each formant. The string checks and ``float()`` run row by
+    row; the rows that pass them form one float block whose masks make the
+    numeric checks, so each row is validated once.
+    """
+    id_idx, vowel_idx, group_idx, formant_idx = columns
+    needed = max(i for i in (id_idx, vowel_idx, group_idx, *formant_idx) if i is not None)
+    issues: list[RowIssue] = []
+    names: dict[str, str] = {}
+    kept = []  # (line_no, speaker_id, vowel, group, formants) of the numeric rows
+    for line_no, cells in numbered_cells:
+        if len(cells) <= needed:
             issues.append(RowIssue(line_no, "row too short for the mapped columns"))
             continue
+        id_cell = cells[id_idx].strip()
         speaker_id, id_vowel, id_group = _split_id(column_map, id_cell)
         if speaker_id is None:
             issues.append(RowIssue(line_no, f"id {id_cell!r} does not match id_regex"))
@@ -174,43 +192,45 @@ def _assemble(rows, column_map: ColumnMap, source: str) -> Corpus:
         if not speaker_id:
             issues.append(RowIssue(line_no, "row has no speaker id"))
             continue
-        vowel = vowel_cell if vowel_cell is not None else id_vowel
+        vowel = cells[vowel_idx].strip() if vowel_idx is not None else id_vowel
         if not vowel:
             issues.append(RowIssue(line_no, "row has no vowel label"))
             continue
-
-        values = []
-        bad = None
-        for cell in formant_cells:
-            try:
-                values.append(float(cell))
-            except (TypeError, ValueError):
-                bad = f"non-numeric formant value {cell!r}"
-                break
-        if bad:
-            issues.append(RowIssue(line_no, bad))
+        formant_cells = [cells[i].strip() for i in formant_idx]
+        try:
+            values = tuple(map(float, formant_cells))
+        except ValueError:
+            bad = _non_numeric(formant_cells)
+            issues.append(RowIssue(line_no, f"non-numeric formant value {bad!r}"))
             continue
-        if any(v == column_map.missing_sentinel for v in values):
-            issues.append(
-                RowIssue(line_no, f"missing formant (sentinel {column_map.missing_sentinel:g})")
-            )
-            continue
-        arr = np.asarray(values)
-        if not (np.all(np.isfinite(arr)) and np.all(arr > 0)):
-            issues.append(RowIssue(line_no, f"non-positive formant in {values}"))
-            continue
-        if not np.all(np.diff(arr) > 0):
-            issues.append(RowIssue(line_no, f"non-ascending formants {values}"))
-            continue
-
-        group = group_cell if group_cell is not None else _group_from_rule(
+        group = cells[group_idx].strip() if group_idx is not None else _group_from_rule(
             column_map, speaker_id, id_group
         )
-        tokens.setdefault(speaker_id, []).append(
-            FormantSet(speaker_id=speaker_id, vowel=vowel, formants=tuple(values))
-        )
-        if speaker_id not in groups or groups[speaker_id] in (None, ""):
-            groups[speaker_id] = group or None
+        # one string object per distinct id and vowel, however many tokens share it
+        speaker_id, vowel = names.setdefault(speaker_id, speaker_id), names.setdefault(vowel, vowel)
+        kept.append((line_no, speaker_id, vowel, group, values))
+
+    block = np.array([row[-1] for row in kept], ndmin=2)  # (1, 0) when no row is kept
+    missing = (block == column_map.missing_sentinel).any(axis=1).tolist()
+    positive = (np.isfinite(block) & (block > 0)).all(axis=1).tolist()
+    ascending = (block[:, 1:] > block[:, :-1]).all(axis=1).tolist()
+    tokens: dict[str, list[FormantSet]] = {}
+    groups: dict[str, str | None] = {}
+    for (line_no, speaker_id, vowel, group, values), is_missing, is_positive, is_ascending in zip(
+        kept, missing, positive, ascending
+    ):
+        if is_missing:
+            reason = f"missing formant (sentinel {column_map.missing_sentinel:g})"
+        elif not is_positive:
+            reason = f"non-positive formant in {list(values)}"
+        elif not is_ascending:
+            reason = f"non-ascending formants {list(values)}"
+        else:
+            tokens.setdefault(speaker_id, []).append(FormantSet._trusted(speaker_id, vowel, values))
+            if groups.get(speaker_id) is None:
+                groups[speaker_id] = group or None
+            continue
+        issues.append(RowIssue(line_no, reason))
 
     if not tokens:
         raise CorpusError(f"{source}: no valid rows")
@@ -224,7 +244,7 @@ def _assemble(rows, column_map: ColumnMap, source: str) -> Corpus:
         records=records,
         vowels=vowels,
         provenance={"source": source, "column_map_digest": column_map.digest()},
-        diagnostics=tuple(issues),
+        diagnostics=tuple(sorted(issues, key=lambda issue: issue.line)),  # lines ascend
     )
 
 
@@ -239,13 +259,45 @@ def _resolve_column(header: list[str], column, source: str) -> int:
         raise CorpusError(f"{source}: column {column!r} not in header {header}") from None
 
 
+def _csv_columns(header: list[str], column_map: ColumnMap, source: str):
+    """The ``columns`` of ``_assemble`` for a CSV file with this header row."""
+    header = [h.strip() for h in header]
+    formant_columns = column_map.formant_columns
+    if not formant_columns:
+        named = [h for h in header if re.fullmatch(r"f\d+_hz", h)]
+        named.sort(key=lambda h: int(h[1:-3]))
+        if not named:
+            raise CorpusError(f"{source}: no f<N>_hz columns found and none configured")
+        formant_columns = tuple(named)
+
+    id_idx = _resolve_column(header, column_map.id_column, source)
+    vowel_idx = group_idx = None
+    if column_map.vowel_column is not None:
+        vowel_idx = _resolve_column(header, column_map.vowel_column, source)
+    group = column_map.group_column  # optional by name, as in the canonical schema
+    if group is not None and (not isinstance(group, str) or group in header):
+        group_idx = _resolve_column(header, group, source)
+    formant_idx = [_resolve_column(header, c, source) for c in formant_columns]
+    return id_idx, vowel_idx, group_idx, formant_idx
+
+
+def _numbered_records(reader):
+    """(line_no, cells) per csv record. A record's line is the one after the line
+    the previous record ended on, so quoted newlines do not shift later lines."""
+    end = reader.line_num
+    for cells in reader:
+        yield end + 1, cells
+        end = reader.line_num
+
+
 def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
     """Read a formant corpus from CSV (header row required).
 
     Without an explicit map the canonical schema is assumed: columns
     ``speaker_id, group, vowel, f1_hz ... fK_hz``. Rows failing validation
     (sentinel formants, non-numeric or non-ascending values) are excluded and
-    reported in the corpus diagnostics, in file order.
+    reported in the corpus diagnostics, in file order, with the line each
+    record starts on. The file is read as a stream, once.
     """
     path = str(path)
     column_map = column_map or ColumnMap()
@@ -256,54 +308,12 @@ def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
                 header = next(reader)
             except StopIteration:
                 raise CorpusError(f"{path}: empty file, header required") from None
-            data = list(reader)
+            columns = _csv_columns(header, column_map, path)
+            return _assemble(_numbered_records(reader), columns, column_map, path)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise CorpusError(f"cannot parse corpus {path}: {exc}") from exc
-
-    header = [h.strip() for h in header]
-    formant_columns = column_map.formant_columns
-    if not formant_columns:
-        named = [h for h in header if re.fullmatch(r"f\d+_hz", h)]
-        named.sort(key=lambda h: int(h[1:-3]))
-        if not named:
-            raise CorpusError(f"{path}: no f<N>_hz columns found and none configured")
-        formant_columns = tuple(named)
-
-    id_idx = _resolve_column(header, column_map.id_column, path)
-    vowel_idx = (
-        None
-        if column_map.vowel_column is None
-        else _resolve_column(header, column_map.vowel_column, path)
-    )
-    group_idx = None
-    if column_map.group_column is not None:
-        if isinstance(column_map.group_column, str) and column_map.group_column not in header:
-            group_idx = None  # optional column in the canonical schema
-        else:
-            group_idx = _resolve_column(header, column_map.group_column, path)
-    formant_idx = [_resolve_column(header, c, path) for c in formant_columns]
-
-    needed = max([id_idx, *formant_idx, *([vowel_idx] if vowel_idx is not None else [])])
-
-    def rows():
-        for offset, cells in enumerate(data):
-            line_no = offset + 2  # 1-based, after the header
-            if len(cells) <= needed:
-                yield line_no, "", None, None, None
-                continue
-            vowel = cells[vowel_idx].strip() if vowel_idx is not None else None
-            group = cells[group_idx].strip() if group_idx is not None else None
-            yield (
-                line_no,
-                cells[id_idx].strip(),
-                vowel,
-                group,
-                [cells[i].strip() for i in formant_idx],
-            )
-
-    return _assemble(rows(), column_map, path)
 
 
 def parse_table(path, column_map: ColumnMap) -> Corpus:
@@ -326,38 +336,19 @@ def parse_table(path, column_map: ColumnMap) -> Corpus:
         raise CorpusError("table parsing needs integer column indices")
     if not column_map.formant_columns:
         raise CorpusError("table parsing needs explicit formant columns")
-    needed = max(column_map.id_column, *column_map.formant_columns)
-
-    def rows():
-        for offset, line in enumerate(lines):
-            line_no = offset + 1
-            if offset < column_map.skip_lines:
-                continue
-            cells = line.split()
-            if not cells:
-                continue
-            if len(cells) <= needed:
-                yield line_no, cells[0], None, None, None
-                continue
-            vowel = (
-                cells[column_map.vowel_column].strip()
-                if isinstance(column_map.vowel_column, int)
-                else None
-            )
-            group = (
-                cells[column_map.group_column].strip()
-                if isinstance(column_map.group_column, int)
-                else None
-            )
-            yield (
-                line_no,
-                cells[column_map.id_column],
-                vowel,
-                group,
-                [cells[i] for i in column_map.formant_columns],
-            )
-
-    return _assemble(rows(), column_map, path)
+    columns = (
+        column_map.id_column,
+        column_map.vowel_column if isinstance(column_map.vowel_column, int) else None,
+        column_map.group_column if isinstance(column_map.group_column, int) else None,
+        column_map.formant_columns,
+    )
+    skip = column_map.skip_lines
+    numbered_cells = (
+        (line_no, cells)
+        for line_no, cells in enumerate(map(str.split, lines[skip:]), skip + 1)
+        if cells
+    )
+    return _assemble(numbered_cells, columns, column_map, path)
 
 
 def records_from_tokens(tokens, group: str | None = None) -> tuple[SpeakerRecord, ...]:

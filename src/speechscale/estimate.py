@@ -197,8 +197,12 @@ def choose_partition(
         raise ValueError(f"unknown partition mode {mode!r}")
     if not records:
         raise ValueError("no records given")
+    return _index_partition(_token_table(records, _select_vowels(records, vowels)))
 
-    _, _, counts, hz = _token_table(records, _select_vowels(records, vowels))
+
+def _index_partition(table) -> BandPartition:
+    """``choose_partition``'s per-formant-index bands from a ``_token_table``."""
+    _, _, counts, hz = table
     if not counts.size:
         raise ValueError("no tokens match the vowel selection")
     if np.any(counts != counts[0]):
@@ -232,16 +236,21 @@ def compute_shifts(
     if not records:
         raise ValueError("no records given")
     vowels = _select_vowels(records, vowels)
+    table = _token_table(records, sorted(vowels))
     if partition is None:
-        partition = choose_partition(records, vowels)
+        partition = _index_partition(table)
+    return _shifts(records, vowels, table, partition, reference)
 
+
+def _shifts(records, vowels, table, partition: BandPartition, reference: str) -> ShiftMatrix:
+    """``compute_shifts`` from a ``_token_table`` of the vowels in sorted order."""
     ids = [r.speaker_id for r in records]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate speaker ids")
 
     # mean ln(frequency) per speaker (row) and key (column); a key is a
     # (vowel, formant index) pair, and the columns are in sorted key order
-    rows, vowel_index, _, hz = _token_table(records, sorted(vowels))
+    rows, vowel_index, _, hz = table
     n_obs, log_sum = np.zeros((2, len(ids), len(vowels), hz.shape[1]))
     np.add.at(n_obs, (rows, vowel_index), (~np.isnan(hz)).astype(float))
     np.add.at(log_sum, (rows, vowel_index), np.nan_to_num(np.log(hz)))
@@ -384,8 +393,12 @@ def estimate_scale(
     """
     records = list(records)
     selected = _select_vowels(records, vowels)
-    partition = choose_partition(records, selected, partition_mode, boundaries=boundaries)
-    shifts = compute_shifts(records, selected, partition, reference)
+    table = _token_table(records, sorted(selected))  # token order does not depend on vowel order
+    if partition_mode == "per_formant_index":
+        partition = _index_partition(table)
+    else:
+        partition = choose_partition(records, selected, partition_mode, boundaries=boundaries)
+    shifts = _shifts(records, selected, table, partition, reference)
     fit = rank1_factor(shifts, max_iters=max_iters, tol=tol)
     if np.any(fit.betas <= 0):
         raise EstimationError(

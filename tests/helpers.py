@@ -6,7 +6,9 @@ closed-form characteristic, and the grid-scan root finder uses analytic pole
 locations instead of bracketing the pole-free residual. ``reference_formants``
 is the library's earlier 1 Hz scan of the characteristic with magnitude
 screening of poles. The per-token references walk tokens one at a time through
-dicts and lists, as the library did before it reduced whole arrays.
+dicts and lists, as the library did before it reduced whole arrays, and
+``reference_assemble`` checks corpus rows one at a time with numpy, as the
+parsers did before they validated one block per file.
 """
 
 from __future__ import annotations
@@ -16,13 +18,17 @@ import numpy as np
 from speechscale import (
     GRAND_MEAN,
     BandPartition,
+    Corpus,
+    CorpusError,
     FormantSet,
+    RowIssue,
     SpeakerRecord,
     TubeConfig,
     build_piecewise,
     characteristic,
     mel_eval,
 )
+from speechscale.dataio import _group_from_rule, _split_id
 
 
 def tube_poles(config: TubeConfig, f_max: float) -> list[float]:
@@ -287,3 +293,80 @@ def reference_alignment(records, warp, vowel):
             raw.append(np.exp(np.mean(np.log([t.formants for t in tokens]), axis=0)))
             warped.append(np.mean([warp(t.formants) for t in tokens], axis=0))
     return tuple(ids), np.array(raw), np.array(warped)
+
+
+def reference_assemble(rows, column_map, source: str) -> Corpus:
+    """The parsers' row validation, one row at a time.
+
+    ``rows`` holds (line_no, id_cell, vowel_cell, group_cell, formant_cells)
+    per row in file order, with ``formant_cells`` None for a row too short for
+    the mapped columns. Each row's formants are checked with numpy reductions
+    and each kept token is a validated ``FormantSet``.
+    """
+    issues: list[RowIssue] = []
+    tokens: dict[str, list[FormantSet]] = {}
+    groups: dict[str, str | None] = {}
+
+    for line_no, id_cell, vowel_cell, group_cell, formant_cells in rows:
+        if formant_cells is None:
+            issues.append(RowIssue(line_no, "row too short for the mapped columns"))
+            continue
+        speaker_id, id_vowel, id_group = _split_id(column_map, id_cell)
+        if speaker_id is None:
+            issues.append(RowIssue(line_no, f"id {id_cell!r} does not match id_regex"))
+            continue
+        if not speaker_id:
+            issues.append(RowIssue(line_no, "row has no speaker id"))
+            continue
+        vowel = vowel_cell if vowel_cell is not None else id_vowel
+        if not vowel:
+            issues.append(RowIssue(line_no, "row has no vowel label"))
+            continue
+
+        values = []
+        bad = None
+        for cell in formant_cells:
+            try:
+                values.append(float(cell))
+            except (TypeError, ValueError):
+                bad = f"non-numeric formant value {cell!r}"
+                break
+        if bad:
+            issues.append(RowIssue(line_no, bad))
+            continue
+        if any(v == column_map.missing_sentinel for v in values):
+            issues.append(
+                RowIssue(line_no, f"missing formant (sentinel {column_map.missing_sentinel:g})")
+            )
+            continue
+        arr = np.asarray(values)
+        if not (np.all(np.isfinite(arr)) and np.all(arr > 0)):
+            issues.append(RowIssue(line_no, f"non-positive formant in {values}"))
+            continue
+        if not np.all(np.diff(arr) > 0):
+            issues.append(RowIssue(line_no, f"non-ascending formants {values}"))
+            continue
+
+        group = group_cell if group_cell is not None else _group_from_rule(
+            column_map, speaker_id, id_group
+        )
+        tokens.setdefault(speaker_id, []).append(
+            FormantSet(speaker_id=speaker_id, vowel=vowel, formants=tuple(values))
+        )
+        if speaker_id not in groups or groups[speaker_id] in (None, ""):
+            groups[speaker_id] = group or None
+
+    if not tokens:
+        raise CorpusError(f"{source}: no valid rows")
+
+    records = tuple(
+        SpeakerRecord(speaker_id=sid, group=groups[sid], tokens=tuple(tokens[sid]))
+        for sid in sorted(tokens)
+    )
+    vowels = tuple(sorted({t.vowel for r in records for t in r.tokens}))
+    return Corpus(
+        records=records,
+        vowels=vowels,
+        provenance={"source": source, "column_map_digest": column_map.digest()},
+        diagnostics=tuple(issues),
+    )

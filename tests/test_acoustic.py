@@ -36,14 +36,20 @@ class TestTypes:
             TubeConfig(sections=(TubeSection(0.1, 1.0),), speed_of_sound=0.0)
 
     def test_formant_set_must_ascend(self):
-        with pytest.raises(ValueError):
-            FormantSet("x", "aa", (500.0, 400.0))
+        for formants in [(500.0, 400.0), (400.0, 400.0), (300.0, np.float64(700.0), 700)]:
+            with pytest.raises(ValueError, match="strictly ascending"):
+                FormantSet("x", "aa", formants)
+        token = FormantSet("x", "aa", (np.float64(300.5), 700, np.int64(2500)))
+        assert token.formants == (300.5, 700.0, 2500.0)
+        assert all(type(f) is float for f in token.formants)
+        assert FormantSet("x", "aa", ()).formants == ()
 
     def test_formant_set_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FormantSet("x", "aa", (-1.0, 400.0))
-        with pytest.raises(ValueError):
-            FormantSet("x", "aa", (float("nan"),))
+        for formants in [(-1.0, 400.0), (float("nan"),), (float("inf"),), (400.0, float("inf")),
+                         (float("-inf"), 400.0), (0.0, 400.0), (-0.0,), (np.float64(-1.0),),
+                         (0,), (400.0, float("nan"), 300.0)]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                FormantSet("x", "aa", formants)
 
 
 class TestCharacteristic:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tempfile
@@ -70,6 +72,23 @@ class TestParseCsv:
         text = CSV_OK + "s03,man\n"
         corpus = parse_csv(write(tmp_path, "c.csv", text))
         assert "too short" in corpus.diagnostics[0].reason
+        # a row that stops before the group column, the last one in the header
+        text = "speaker_id,vowel,f1_hz,f2_hz,group\ns01,aa,700,1200\ns01,aa,700,1200,m\n"
+        corpus = parse_csv(write(tmp_path, "g.csv", text))
+        assert [(i.line, i.reason) for i in corpus.diagnostics] == [
+            (2, "row too short for the mapped columns")
+        ]
+        assert corpus.records[0].group == "m"
+
+    def test_line_numbers_follow_quoted_newlines(self, tmp_path):
+        text = ("speaker_id,group,vowel,f1_hz,f2_hz,f3_hz\n"
+                's01,"a\nb",aa,700,1200,2500\n'
+                "s02,m,aa,0,1200,2500\n")
+        corpus = parse_csv(write(tmp_path, "c.csv", text))
+        assert [(i.line, i.reason) for i in corpus.diagnostics] == [
+            (4, "missing formant (sentinel 0)")
+        ]
+        assert corpus.records[0].group == "a\nb"
 
     def test_missing_column_rejected(self, tmp_path):
         path = write(tmp_path, "c.csv", CSV_OK)
@@ -86,6 +105,13 @@ class TestParseCsv:
             tmp_path, "c.csv", "speaker_id,group,vowel,f1_hz,f2_hz\ns01,man,aa,0,1200\n"
         )
         with pytest.raises(CorpusError):
+            parse_csv(path)
+
+    def test_undecodable_bytes_mid_file_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        rows = b"s01,man,aa,700,1200,2500\n" * 4000  # past the first buffered read
+        path.write_bytes(CSV_OK.encode() + rows + b"s03,man,aa,700,\xff,2500\n" + rows)
+        with pytest.raises(CorpusError, match="cannot parse corpus"):
             parse_csv(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -146,6 +172,15 @@ class TestParseTable:
         path = write(tmp_path, "t.dat", "m01ae 250 600 1800 2500\nm02ae 250\n")
         corpus = parse_table(path, ColumnMap.legacy_table())
         assert "too short" in corpus.diagnostics[0].reason
+        # a line that stops before the vowel column, which lies past the formants
+        path = write(tmp_path, "v.dat", "m01 600 1800 2500 ae\nm02 600 1800 2500\n")
+        cmap = ColumnMap(id_column=0, vowel_column=4, group_column=None,
+                         formant_columns=(1, 2, 3))
+        corpus = parse_table(path, cmap)
+        assert [(i.line, i.reason) for i in corpus.diagnostics] == [
+            (2, "row too short for the mapped columns")
+        ]
+        assert corpus.speaker_ids == ("m01",)
 
     def test_needs_integer_columns(self, tmp_path):
         path = write(tmp_path, "t.dat", "m01ae 250 600 1800 2500\n")
@@ -175,6 +210,12 @@ class TestColumnMap:
     def test_duplicate_formant_columns_rejected(self):
         with pytest.raises(ValueError):
             ColumnMap(formant_columns=("f1_hz", "f1_hz"))
+
+    def test_non_numeric_sentinel_rejected(self):
+        for sentinel in ("0", None, [0.0, 1200.0, 2500.0]):
+            with pytest.raises(ValueError, match="missing_sentinel"):
+                ColumnMap.from_dict({"missing_sentinel": sentinel})
+        assert ColumnMap(missing_sentinel=np.float32(-1)).missing_sentinel == -1
 
 
 class TestCanonicalJson:
@@ -314,3 +355,107 @@ class TestParsersRejectCleanly:
                     assert isinstance(parse(path), Corpus)
                 except CorpusError:
                     pass
+
+
+# Rows for the reference test: every class of row the parsers tell apart.
+FORMANT_CELLS = ["300", "700", "700", "1200", "2500", "300.0", "1e400", "0", "-0", "-1",
+                 "nan", "inf", "-inf", "abc", ""]
+FORMANTS = st.one_of(
+    st.sampled_from([["300", "1200", "2500"], ["700.0", " 1200 ", "2e3"], ["250", "900", "1e4"],
+                     ["300", "1200", "1200"], ["300", "2500", "1200"]]),
+    st.lists(st.sampled_from(FORMANT_CELLS), min_size=3, max_size=3),
+)
+SENTINELS = st.sampled_from([0.0, -1.0, 700.0])
+
+
+def _outcome(parse):
+    """What ``parse()`` returns, or the message of the CorpusError it raises."""
+    try:
+        corpus = parse()
+    except CorpusError as exc:
+        return str(exc)
+    return corpus.records, corpus.vowels, corpus.diagnostics, corpus.provenance
+
+
+class TestParsersMatchReference:
+    """The block-validated parsers agree with ``helpers.reference_assemble``,
+    which checks one row at a time, in records, vowels, diagnostics and errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.sampled_from([1, 3]),
+        sentinel=SENTINELS,
+        rows=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["s01", "s02", " s03 ", "s01", "", "a\nb"]),
+                    st.sampled_from(["", "man", "woman"]),
+                    st.sampled_from(["aa", "iy", "", " aa"]),
+                    FORMANTS,
+                ).map(lambda r: [*r[:3], *r[3]]),
+                st.lists(st.sampled_from(["s01", "aa", "700"]), max_size=3),  # short
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_csv(self, count, sentinel, rows):
+        header = ["speaker_id", "group", "vowel"] + [f"f{i + 1}_hz" for i in range(count)]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([header, *rows])
+        # reference rows, each numbered by the physical line it starts on
+        reference_rows, line_no = [], 2
+        for cells in rows:
+            if len(cells) <= 2 + count:
+                reference_rows.append((line_no, "", None, None, None))
+            else:
+                stripped = [c.strip() for c in cells]
+                reference_rows.append(
+                    (line_no, stripped[0], stripped[2], stripped[1], stripped[3:3 + count])
+                )
+            line_no += 1 + sum(c.count("\n") for c in cells)
+        cmap = ColumnMap(missing_sentinel=sentinel)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.csv"
+            path.write_text(text.getvalue(), encoding="utf-8")
+            expected = _outcome(lambda: helpers.reference_assemble(reference_rows, cmap, str(path)))
+            assert _outcome(lambda: parse_csv(path, cmap)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.sampled_from([1, 3]),
+        sentinel=SENTINELS,
+        skip=st.sampled_from([0, 1]),
+        lines=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["m01ae", "w02iy", "b05aa", "m01ae", "m01", "###"]),
+                    st.sampled_from(["120", "x"]),
+                    FORMANTS,
+                ).map(lambda r: [*r[:2], *r[2]]),
+                st.lists(st.sampled_from(["m01ae", "700"]), max_size=4),  # short
+                st.just([]),  # blank
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_table(self, count, sentinel, skip, lines):
+        cmap = ColumnMap.from_dict({
+            **HILLENBRAND_MAP.to_dict(),
+            "formant_columns": list(range(2, 2 + count)),
+            "missing_sentinel": sentinel,
+            "skip_lines": skip,
+        })
+        text = [" ".join(cells) for cells in lines]
+        reference_rows = []
+        for line_no, cells in enumerate(map(str.split, text), 1):
+            if line_no <= skip or not cells:
+                continue
+            formant_cells = cells[2:2 + count] if len(cells) > 1 + count else None
+            reference_rows.append((line_no, cells[0], None, None, formant_cells))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.dat"
+            path.write_text("\n".join(text), encoding="utf-8")
+            expected = _outcome(lambda: helpers.reference_assemble(reference_rows, cmap, str(path)))
+            assert _outcome(lambda: parse_table(path, cmap)) == expected
