@@ -5,13 +5,15 @@ vocal tract (a narrow pharyngeal cavity feeding a wide oral cavity); speakers
 differ only in the oral-cavity length, which is how real tracts mostly
 differ. The resulting resonances (formants) land in different places even
 though the "vowel" is the same, and a plain translation of the frequency axis
-cannot line them up. A nonlinear warp of the axis can.
+cannot line them up. A nonlinear warp of the axis can; this demo tries the
+log axis, on which a whole tract scaled by one factor would move every formant
+by the same step.
 """
 
 import numpy as np
 
 from speechscale import (
-    QuadraticLogWarp,
+    LogWarp,
     TubeConfig,
     align_population,
     records_from_tokens,
@@ -34,8 +36,8 @@ print("amounts (Hz), so no single translation aligns them:")
 for row in diffs:
     print("  " + "  ".join(f"{d:+7.1f}" for d in row))
 
-# Warp the frequency axis with an illustrative increasing function
-warp = QuadraticLogWarp()  # nu = 0.9*ln(f) + 0.6*ln(f)^2
+# Warp the frequency axis with the natural log: nu = ln(f)
+warp = LogWarp()
 records = records_from_tokens(population)
 result = align_population(records, warp, vowel="aa")
 
@@ -43,12 +45,13 @@ print("\nwarped formants (scale units):")
 for sid, row in zip(result.speaker_ids, result.formants_warped):
     print(f"  {sid}: " + "  ".join(f"{v:7.3f}" for v in row))
 
-print("\nafter warping, one translation per speaker aligns all formants:")
+print("\nafter warping, one translation per speaker shifts all its formants:")
 for sid, alpha in zip(result.speaker_ids, result.translations):
     print(f"  {sid}: shift by {alpha:+.3f}")
 print("\nper-formant spread across speakers (standard deviation):")
 print("  before translation:", np.array2string(result.spread_before, precision=3))
 print("  after translation: ", np.array2string(result.spread_after, precision=3))
-print("\nThe residual spread is not zero: this demo warp is only an")
-print("illustration. Estimating the warp that actually does the job from")
-print("data is the subject of the next demo.")
+print("\nThe spread falls for F1 and F2 but rises for F3: only the oral cavity")
+print("changes length, so the log axis is not the right warp for these tracts.")
+print("Estimating the warp that actually does the job from data is the subject")
+print("of the next demo.")

@@ -16,7 +16,6 @@ from .acoustic import (
     TubeSection,
     characteristic,
     formants,
-    scale_tract,
     synth_population,
 )
 from .align import AlignmentResult, align_population, best_translation
@@ -26,7 +25,6 @@ from .dataio import (
     CorpusError,
     RowIssue,
     canonical_json,
-    load_scale_estimate,
     load_warp,
     parse_csv,
     parse_table,
@@ -63,68 +61,8 @@ from .warp import (
     IdentityWarp,
     LogWarp,
     PiecewiseWarp,
-    QuadraticLogWarp,
     Warp,
     build_piecewise,
-    warp_formants,
-    warp_from_descriptor,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_SPEED_OF_SOUND",
-    "FormantSet",
-    "IncompleteScanWarning",
-    "TubeConfig",
-    "TubeSection",
-    "characteristic",
-    "formants",
-    "scale_tract",
-    "synth_population",
-    "AlignmentResult",
-    "align_population",
-    "best_translation",
-    "ColumnMap",
-    "Corpus",
-    "CorpusError",
-    "RowIssue",
-    "canonical_json",
-    "load_scale_estimate",
-    "load_warp",
-    "parse_csv",
-    "parse_table",
-    "read_json",
-    "records_from_tokens",
-    "write_bundle",
-    "write_canonical_csv",
-    "GRAND_MEAN",
-    "DegenerateDataError",
-    "EstimationError",
-    "Rank1Result",
-    "ScaleEstimate",
-    "ShiftMatrix",
-    "SpeakerRecord",
-    "choose_partition",
-    "compute_shifts",
-    "estimate_scale",
-    "rank1_factor",
-    "STANDARD_MEL",
-    "MelFitResult",
-    "MelParams",
-    "ScaleComparison",
-    "compare_scales",
-    "fit_mel",
-    "mel_eval",
-    "BandPartition",
-    "DomainError",
-    "IdentityWarp",
-    "LogWarp",
-    "PiecewiseWarp",
-    "QuadraticLogWarp",
-    "Warp",
-    "build_piecewise",
-    "warp_formants",
-    "warp_from_descriptor",
-    "__version__",
-]

@@ -209,23 +209,6 @@ def formants(
     return _formant_set(roots[0], f_max, speaker_id, vowel)
 
 
-def scale_tract(config: TubeConfig, kappa: float, which: str = "all") -> TubeConfig:
-    """Copy of ``config`` with selected section lengths multiplied by ``kappa``.
-
-    ``which="all"`` rescales the whole tract, ``"oral_only"`` rescales just
-    the lip-end section. Areas are never touched.
-    """
-    if not (np.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be > 0, got {kappa!r}")
-    if which not in ("all", "oral_only"):
-        raise ValueError(f"which must be 'all' or 'oral_only', got {which!r}")
-    sections = list(config.sections)
-    targets = range(len(sections)) if which == "all" else [len(sections) - 1]
-    for i in targets:
-        sections[i] = TubeSection(sections[i].length * kappa, sections[i].area)
-    return TubeConfig(tuple(sections), config.speed_of_sound)
-
-
 def synth_population(
     base: TubeConfig,
     speaker_count: int,
@@ -264,7 +247,7 @@ def synth_population(
     if vary == "oral_only":
         back_length, front_length = back.length, lengths
     else:
-        kappa = lengths / front.length  # scale_tract's arithmetic: length * kappa
+        kappa = lengths / front.length  # every length * kappa, kappa = sampled/front
         back_length, front_length = back.length * kappa, front.length * kappa
     roots = _resonances(back_length, front_length, back.area, front.area,
                         base.speed_of_sound, formant_count, f_max, 1.0, tol)

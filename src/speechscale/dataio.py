@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acoustic import FormantSet
-from .estimate import ScaleEstimate, SpeakerRecord
+from .estimate import SpeakerRecord
 from .warp import PiecewiseWarp
 
 #: id pattern for legacy vowel tables whose first token is like "m01ae":
@@ -58,7 +58,10 @@ class ColumnMap:
         if self.vowel_column is None and self.id_regex is None:
             raise ValueError("need either a vowel column or an id_regex with a vowel group")
         if self.id_regex is not None:
-            pattern = re.compile(self.id_regex)
+            try:
+                pattern = re.compile(self.id_regex)
+            except re.error as exc:
+                raise CorpusError(f"id_regex {self.id_regex!r} does not compile: {exc}") from None
             needed = {"speaker", "vowel"} - set(pattern.groupindex)
             if needed:
                 raise ValueError(f"id_regex is missing named groups: {sorted(needed)}")
@@ -95,19 +98,32 @@ class ColumnMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ColumnMap":
-        known = {
-            "id_column", "vowel_column", "group_column", "formant_columns",
-            "id_regex", "group_rule", "missing_sentinel", "skip_lines",
+        if not isinstance(data, dict):
+            raise CorpusError(f"a column map must be a JSON object, got {data!r}")
+
+        def column(v):  # a CSV header name or a table token index; a bool is neither
+            return type(v) is str or (type(v) is int and v >= 0)
+
+        expected = {  # key: (what its value must be, the check)
+            "id_column": ("a column name or index >= 0", column),
+            "vowel_column": ("a column name, index >= 0 or null", lambda v: v is None or column(v)),
+            "group_column": ("a column name, index >= 0 or null", lambda v: v is None or column(v)),
+            "formant_columns": ("a list of column names or indices >= 0",
+                                lambda v: type(v) is list and all(map(column, v))),
+            "id_regex": ("a regular expression or null", lambda v: v is None or type(v) is str),
+            "group_rule": ("an object of strings or null", lambda v: v is None or (
+                type(v) is dict and all(type(x) is str for x in v.values()))),
+            "missing_sentinel": ("a number", lambda v: type(v) in (int, float)),
+            "skip_lines": ("a whole number >= 0", lambda v: type(v) is int and v >= 0),
         }
-        unknown = set(data) - known
+        unknown = set(data) - set(expected)
         if unknown:
             raise CorpusError(f"unknown column map keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "formant_columns" in kwargs and kwargs["formant_columns"] is not None:
-            kwargs["formant_columns"] = tuple(kwargs["formant_columns"])
-        if kwargs.get("group_rule") is not None:
-            kwargs["group_rule"] = tuple(sorted(kwargs["group_rule"].items()))
-        return cls(**kwargs)
+        for key, value in data.items():
+            what, valid = expected[key]
+            if not valid(value):
+                raise CorpusError(f"column map {key!r} must be {what}, got {value!r}")
+        return cls(**data)  # __post_init__ turns the lists and the object into tuples
 
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
@@ -434,14 +450,6 @@ def load_warp(path, extrapolate: bool = False) -> PiecewiseWarp:
         data = data["warp"]
     try:
         return PiecewiseWarp.from_dict(data, extrapolate=extrapolate)
-    except ValueError as exc:
-        raise CorpusError(f"{path}: {exc}") from exc
-
-
-def load_scale_estimate(path) -> ScaleEstimate:
-    data = read_json(path)
-    try:
-        return ScaleEstimate.from_dict(data)
     except ValueError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 

@@ -124,22 +124,6 @@ class ScaleEstimate:
             "provenance": self.provenance,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScaleEstimate":
-        try:
-            partition = BandPartition(tuple(data["partition"]))
-            warp = PiecewiseWarp.from_dict(data["warp"])
-            return cls(
-                betas=tuple(float(b) for b in data["betas"]),
-                speaker_factors={k: float(v) for k, v in data["speaker_factors"].items()},
-                residual_rms=float(data["residual_rms"]),
-                partition=partition,
-                warp=warp,
-                provenance=dict(data.get("provenance", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed scale estimate document: {exc}") from exc
-
 
 def _select_vowels(records, vowels) -> tuple[str, ...]:
     available = sorted({t.vowel for r in records for t in r.tokens})

@@ -1,12 +1,10 @@
-"""Frequency-warping functions: log, quadratic-in-log, and piecewise-log maps."""
+"""Frequency-warping functions: identity, log, and piecewise-log maps."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .acoustic import FormantSet
 
 
 class DomainError(ValueError):
@@ -86,56 +84,6 @@ class LogWarp(Warp):
 
     def _backward(self, arr):
         return np.exp(arr)
-
-
-@dataclass(frozen=True)
-class QuadraticLogWarp(Warp):
-    """Illustrative warp ``nu = p*ln(f) + q*ln(f)**2``.
-
-    Used for demonstrations only, never for estimation. Increasing only for
-    ``ln f > -p/(2q)``, so the domain floor is ``exp(-p/(2q))``.
-    """
-
-    linear_coeff: float = 0.9
-    quadratic_coeff: float = 0.6
-
-    kind = "quadratic_log"
-
-    def __post_init__(self):
-        if self.linear_coeff <= 0 or self.quadratic_coeff <= 0:
-            raise ValueError("both coefficients must be > 0")
-
-    @property
-    def f_min(self) -> float:
-        return float(np.exp(-self.linear_coeff / (2.0 * self.quadratic_coeff)))
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "linear_coeff": self.linear_coeff,
-            "quadratic_coeff": self.quadratic_coeff,
-        }
-
-    def _forward(self, arr):
-        u = np.log(arr)
-        return self.linear_coeff * u + self.quadratic_coeff * u * u
-
-    def _backward(self, arr):
-        # positive branch of the quadratic in ln f
-        p, q = self.linear_coeff, self.quadratic_coeff
-        u = (-p + np.sqrt(p * p + 4.0 * q * arr)) / (2.0 * q)
-        return np.exp(u)
-
-    def _check_frequency(self, arr):
-        super()._check_frequency(arr)
-        if arr.size and np.any(arr <= self.f_min):
-            raise DomainError(f"frequencies must exceed {self.f_min:.6g} Hz for this warp")
-
-    def _check_scale(self, arr):
-        super()._check_scale(arr)
-        nu_min = -self.linear_coeff**2 / (4.0 * self.quadratic_coeff)
-        if arr.size and np.any(arr <= nu_min):
-            raise DomainError(f"scale values must exceed {nu_min:.6g} for this warp")
 
 
 @dataclass(frozen=True)
@@ -296,32 +244,3 @@ class PiecewiseWarp(Warp):
 def build_piecewise(betas, partition: BandPartition) -> PiecewiseWarp:
     """Piecewise-log warp with slopes ``1/beta_l``, continuous and anchored at 0."""
     return PiecewiseWarp(partition=partition, betas=tuple(betas))
-
-
-def warp_formants(formant_set, warp: Warp) -> np.ndarray:
-    """Elementwise warp of a formant list (or FormantSet); order is preserved."""
-    if isinstance(formant_set, FormantSet):
-        values = formant_set.formants
-    else:
-        values = formant_set
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return np.empty(0, dtype=float)
-    return np.asarray(warp(arr), dtype=float)
-
-
-def warp_from_descriptor(data: dict) -> Warp:
-    """Rebuild a warp from its ``descriptor()`` dict."""
-    kind = data.get("kind")
-    if kind == "identity":
-        return IdentityWarp()
-    if kind == "log":
-        return LogWarp()
-    if kind == "quadratic_log":
-        return QuadraticLogWarp(
-            linear_coeff=float(data.get("linear_coeff", 0.9)),
-            quadratic_coeff=float(data.get("quadratic_coeff", 0.6)),
-        )
-    if kind == "piecewise":
-        return PiecewiseWarp.from_dict(data)
-    raise ValueError(f"unknown warp kind {kind!r}")

@@ -8,10 +8,14 @@ is the library's earlier 1 Hz scan of the characteristic with magnitude
 screening of poles. The per-token references walk tokens one at a time through
 dicts and lists, as the library did before it reduced whole arrays, and
 ``reference_assemble`` checks corpus rows one at a time with numpy, as the
-parsers did before they validated one block per file.
+parsers did before they validated one block per file. ``scaled_tract`` and
+``QuadraticLogWarp`` are test tools: a whole tract rescaled on its own, and a
+warp with a domain floor.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +24,12 @@ from speechscale import (
     BandPartition,
     Corpus,
     CorpusError,
+    DomainError,
     FormantSet,
     RowIssue,
     SpeakerRecord,
     TubeConfig,
+    Warp,
     build_piecewise,
     characteristic,
     mel_eval,
@@ -162,6 +168,13 @@ def reference_formants(config: TubeConfig, count: int, f_max: float = 8000.0,
     return tuple(roots)
 
 
+def scaled_tract(config: TubeConfig, kappa: float) -> TubeConfig:
+    """``config`` with both section lengths multiplied by ``kappa``; areas kept."""
+    back, front = config.sections
+    return TubeConfig.two_tube(back.length * kappa, front.length * kappa, back.area,
+                               front.area, config.speed_of_sound)
+
+
 def injected_beta_records(
     betas=(1.2, 1.0, 0.8),
     means=(500.0, 1500.0, 2500.0),
@@ -213,6 +226,49 @@ def mel_chord_warp(params, f_lo: float = 100.0, f_hi: float = 4000.0, n_bands: i
     eta = mel_eval(params, bounds)
     slopes = np.diff(eta) / np.diff(np.log(bounds))
     return build_piecewise(1.0 / slopes, BandPartition(tuple(bounds)))
+
+
+@dataclass(frozen=True)
+class QuadraticLogWarp(Warp):
+    """Warp ``nu = p*ln(f) + q*ln(f)**2``, a test warp with a domain floor.
+
+    Increasing only for ``ln f > -p/(2q)``, so the domain floor is
+    ``exp(-p/(2q))``.
+    """
+
+    linear_coeff: float = 0.9
+    quadratic_coeff: float = 0.6
+
+    kind = "quadratic_log"
+
+    def __post_init__(self):
+        if self.linear_coeff <= 0 or self.quadratic_coeff <= 0:
+            raise ValueError("both coefficients must be > 0")
+
+    @property
+    def f_min(self) -> float:
+        return float(np.exp(-self.linear_coeff / (2.0 * self.quadratic_coeff)))
+
+    def _forward(self, arr):
+        u = np.log(arr)
+        return self.linear_coeff * u + self.quadratic_coeff * u * u
+
+    def _backward(self, arr):
+        # positive branch of the quadratic in ln f
+        p, q = self.linear_coeff, self.quadratic_coeff
+        u = (-p + np.sqrt(p * p + 4.0 * q * arr)) / (2.0 * q)
+        return np.exp(u)
+
+    def _check_frequency(self, arr):
+        super()._check_frequency(arr)
+        if arr.size and np.any(arr <= self.f_min):
+            raise DomainError(f"frequencies must exceed {self.f_min:.6g} Hz for this warp")
+
+    def _check_scale(self, arr):
+        super()._check_scale(arr)
+        nu_min = -self.linear_coeff**2 / (4.0 * self.quadratic_coeff)
+        if arr.size and np.any(arr <= nu_min):
+            raise DomainError(f"scale values must exceed {nu_min:.6g} for this warp")
 
 
 def reference_partition(records, vowels) -> BandPartition:

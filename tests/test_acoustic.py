@@ -12,7 +12,6 @@ from speechscale import (
     TubeSection,
     characteristic,
     formants,
-    scale_tract,
     synth_population,
 )
 
@@ -132,7 +131,7 @@ class TestFormants:
     @pytest.mark.parametrize("kappa", [0.5, 0.8, 1.25, 2.0])
     def test_homogeneity_under_uniform_scaling(self, kappa):
         base = formants(AA_LIKE, 3, 16000.0).formants
-        scaled = formants(scale_tract(AA_LIKE, kappa, "all"), 3, 16000.0).formants
+        scaled = formants(helpers.scaled_tract(AA_LIKE, kappa), 3, 16000.0).formants
         assert np.allclose(np.asarray(scaled), np.asarray(base) / kappa, atol=0.1)
 
 
@@ -203,30 +202,7 @@ class TestAgainstTransferMatrix:
         pop = synth_population(AA_LIKE, 6, (0.045, 0.11), 4, seed=4, vary="all")
         kappas = np.random.default_rng(4).uniform(0.045, 0.11, 6) / AA_LIKE.sections[1].length
         for fs, kappa in zip(pop, kappas):
-            assert fs.formants == formants(scale_tract(AA_LIKE, kappa, "all"), 4).formants
-
-
-class TestScaleTract:
-    def test_identity(self):
-        assert scale_tract(AA_LIKE, 1.0, "all") == AA_LIKE
-
-    def test_doubling_halves_formants(self):
-        base = formants(UNIFORM, 3, 8000.0).formants
-        halved = formants(scale_tract(UNIFORM, 2.0, "all"), 3, 8000.0).formants
-        assert np.allclose(halved, np.asarray(base) / 2.0, atol=0.1)
-
-    def test_oral_only_changes_last_section(self):
-        scaled = scale_tract(AA_LIKE, 0.8, "oral_only")
-        assert scaled.sections[0].length == pytest.approx(0.09)
-        assert scaled.sections[1].length == pytest.approx(0.064)
-        assert scaled.sections[0].area == AA_LIKE.sections[0].area
-        assert scaled.sections[1].area == AA_LIKE.sections[1].area
-
-    def test_rejects_bad_kappa_and_mode(self):
-        with pytest.raises(ValueError):
-            scale_tract(AA_LIKE, 0.0)
-        with pytest.raises(ValueError):
-            scale_tract(AA_LIKE, 1.0, "sideways")
+            assert fs.formants == formants(helpers.scaled_tract(AA_LIKE, kappa), 4).formants
 
 
 class TestSynthPopulation:

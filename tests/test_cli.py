@@ -11,8 +11,8 @@ from speechscale import (
     TubeConfig,
     TubeSection,
     characteristic,
-    load_scale_estimate,
     parse_csv,
+    read_json,
     write_bundle,
     write_canonical_csv,
 )
@@ -85,18 +85,18 @@ class TestEstimate:
         assert run("synth", "--vary", "all", "--speakers", 10, "--seed", 5,
                    "--oral-range", "0.064:0.096", "--out", corpus) == 0
         assert run("estimate", "--corpus", corpus, "--out", out) == 0
-        est = load_scale_estimate(out)
-        assert np.max(np.abs(np.asarray(est.betas) - 1.0)) < 1e-2
+        est = read_json(out)
+        assert np.max(np.abs(np.asarray(est["betas"]) - 1.0)) < 1e-2
 
     def test_injected_beta_corpus_recovery(self, tmp_path):
         corpus = tmp_path / "c.csv"
         out = tmp_path / "scale.json"
         write_injected_corpus(corpus)
         assert run("estimate", "--corpus", corpus, "--out", out) == 0
-        est = load_scale_estimate(out)
+        est = read_json(out)
         # corpus floats are stored at 9 significant digits, so recovery is
         # limited by the file precision, not the estimator
-        assert np.max(np.abs(np.asarray(est.betas) - (1.2, 1.0, 0.8))) < 1e-6
+        assert np.max(np.abs(np.asarray(est["betas"]) - (1.2, 1.0, 0.8))) < 1e-6
 
     def test_explicit_partition_and_reference(self, tmp_path):
         corpus = tmp_path / "c.csv"
@@ -107,8 +107,7 @@ class TestEstimate:
             "--partition", "explicit:250,866,1936,5000", "--reference", "s00",
         )
         assert code == 0
-        est = load_scale_estimate(out)
-        assert est.partition.boundaries == (250.0, 866.0, 1936.0, 5000.0)
+        assert read_json(out)["partition"] == [250.0, 866.0, 1936.0, 5000.0]
 
     def test_reference_without_a_band_names_the_band(self, tmp_path, capsys):
         # s00's F4 lies below the lower edge of per-formant band 4, so no key
@@ -138,6 +137,33 @@ class TestEstimate:
             encoding="utf-8",
         )
         assert run("estimate", "--corpus", corpus, "--out", tmp_path / "s.json") == 2
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"skip_lines": "2"}', "'skip_lines'"),
+            ('{"id_regex": "("}', "id_regex '('"),
+            ('{"formant_columns": 5}', "'formant_columns'"),
+            ('{"group_rule": ["m"]}', "'group_rule'"),
+            ('{"formant_columns": [-1, 3, 4]}', "'formant_columns'"),
+            ("null", "a column map must be a JSON object"),
+            ("[]", "a column map must be a JSON object"),
+        ],
+        ids=["skip_lines", "id_regex", "formant_columns", "group_rule", "negative_index", "null",
+             "list"],
+    )
+    def test_mistyped_column_map_is_user_error(self, tmp_path, capsys, text, named):
+        corpus, column_map = tmp_path / "c.csv", tmp_path / "m.json"
+        corpus.write_text(
+            "speaker_id,group,vowel,f1_hz,f2_hz\na,,aa,500,1500\nb,,aa,520,1550\n",
+            encoding="utf-8",
+        )
+        column_map.write_text(text, encoding="utf-8")
+        code = run("estimate", "--corpus", corpus, "--column-map", column_map,
+                   "--out", tmp_path / "s.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "internal error" not in err
 
 
 class TestAlign:
