@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import _token_table
+from .estimate import _subset, _token_table
 from .warp import Warp
 
 
@@ -82,10 +82,15 @@ def align_population(records, warp: Warp, vowel: str) -> AlignmentResult:
     lacking the vowel are left out; it is an error if none carry it or if
     formant counts disagree.
     """
-    records = list(records)
-    rows, _, counts, hz = _token_table(records, (vowel,))
+    return _align(_token_table(list(records), (vowel,)), warp, vowel)
+
+
+def _align(table, warp: Warp, vowel: str) -> AlignmentResult:
+    """``align_population`` from a ``_token_table``."""
+    ids, _, rows, _, hz = _subset(table, (vowel,))
     if not rows.size:
         raise ValueError(f"vowel {vowel!r} is absent from all records")
+    counts = np.count_nonzero(~np.isnan(hz), axis=1)
     if np.any(counts != counts[0]):
         raise ValueError(f"formant counts disagree across tokens: {np.unique(counts).tolist()}")
 
@@ -96,7 +101,6 @@ def align_population(records, warp: Warp, vowel: str) -> AlignmentResult:
     log_sum, nu_sum = np.zeros((2, speakers.size, hz.shape[1]))
     np.add.at(log_sum, speaker_of_token, np.log(hz))
     np.add.at(nu_sum, speaker_of_token, nu)
-    ids = [records[row].speaker_id for row in speakers]
     raw = np.exp(log_sum / n_tokens)
     warped = nu_sum / n_tokens
 
@@ -105,7 +109,7 @@ def align_population(records, warp: Warp, vowel: str) -> AlignmentResult:
     aligned = warped + alphas[:, np.newaxis]
     return AlignmentResult(
         vowel=vowel,
-        speaker_ids=tuple(ids),
+        speaker_ids=tuple(ids[row] for row in speakers),
         formants_raw_hz=raw,
         formants_warped=warped,
         translations=alphas,

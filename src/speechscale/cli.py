@@ -16,19 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from .acoustic import TubeConfig, synth_population
-from .align import align_population
+from .align import _align
 from .dataio import (
     ColumnMap,
     CorpusError,
+    _read_csv,
+    _read_table,
     load_warp,
-    parse_csv,
-    parse_table,
     read_json,
     records_from_tokens,
     write_bundle,
     write_canonical_csv,
 )
-from .estimate import GRAND_MEAN, EstimationError, estimate_scale
+from .estimate import GRAND_MEAN, EstimationError, _estimate
 from .melfit import STANDARD_MEL, compare_scales, fit_mel
 from .warp import DomainError
 
@@ -93,14 +93,14 @@ def _stage_corpus(config: dict, state: dict):
     if config["format"] == "table":
         if column_map is None:
             raise CorpusError("table format requires --column-map")
-        corpus = parse_table(config["corpus"], column_map)
+        corpus = _read_table(config["corpus"], column_map)
     else:
-        corpus = parse_csv(config["corpus"], column_map)
+        corpus = _read_csv(config["corpus"], column_map)
     state["corpus"] = corpus
     return {
         "source": str(config["corpus"]),
         "column_map_digest": corpus.provenance["column_map_digest"],
-        "speakers": len(corpus.records),
+        "speakers": len(corpus.speaker_ids),
         "tokens": corpus.n_tokens(),
         "vowels": list(corpus.vowels),
         "rejected_rows": len(corpus.diagnostics),
@@ -111,15 +111,9 @@ def _stage_corpus(config: dict, state: dict):
 def _stage_estimate(config: dict, state: dict):
     mode, boundaries = _parse_partition(config["partition"])
     reference = config["reference"]
-    estimate = estimate_scale(
-        state["corpus"].records,
-        vowels=config["vowels"],
-        partition_mode=mode,
-        reference=GRAND_MEAN if reference in ("grand-mean", GRAND_MEAN) else reference,
-        boundaries=boundaries,
-        max_iters=config["max_iters"],
-        tol=config["tol"],
-    )
+    reference = GRAND_MEAN if reference in ("grand-mean", GRAND_MEAN) else reference
+    estimate = _estimate(state["corpus"].table, config["vowels"], mode, reference, boundaries,
+                         config["max_iters"], config["tol"])
     state["estimate"] = estimate
     return estimate
 
@@ -137,7 +131,7 @@ def _stage_align(config: dict, state: dict):
     vowel = config.get("vowel", config.get("align_vowel"))
     if vowel is None:
         vowel = (config["vowels"] or corpus.vowels)[0]
-    return align_population(corpus.records, _warp(config, state), vowel)
+    return _align(corpus.table, _warp(config, state), vowel)
 
 
 def _stage_fit_mel(config: dict, state: dict):
@@ -405,15 +399,18 @@ def _kwargs(kw: dict, command: str) -> dict:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``. Every command is listed, for ``--help``, but
+    only the one ``argv`` names (its first word not an option) gets its flags."""
     parser = argparse.ArgumentParser(
         prog="speechscale",
         description="Estimate a universal frequency-warping scale from vowel formants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
     for command, (handler, summary) in _COMMANDS.items():
         options = sub.add_parser(command, help=summary)
-        for name, commands, kw in _OPTIONS:
+        for name, commands, kw in _OPTIONS if command == named else ():
             if command in commands.split():
                 options.add_argument(name, **_kwargs(kw, command))
         options.set_defaults(handler=handler)
@@ -421,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         args.handler(args)
     except (CorpusError, EstimationError, DomainError, ValueError, OSError) as exc:

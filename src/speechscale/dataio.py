@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
+import math
 import numbers
 import os
 import re
@@ -49,6 +51,11 @@ class ColumnMap:
 
     def __post_init__(self):
         object.__setattr__(self, "formant_columns", tuple(self.formant_columns))
+        for key in ("id_column", "vowel_column", "group_column", "formant_columns"):
+            value = getattr(self, key)
+            if any(isinstance(c, int) and (isinstance(c, bool) or c < 0)
+                   for c in (value if key == "formant_columns" else (value,))):
+                raise CorpusError(f"column map {key!r} takes names or indices >= 0, got {value!r}")
         if self.group_rule is not None and not isinstance(self.group_rule, tuple):
             object.__setattr__(
                 self, "group_rule", tuple(sorted(dict(self.group_rule).items()))
@@ -139,19 +146,37 @@ class RowIssue:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Validated speaker records plus parse provenance and diagnostics."""
+    """Validated tokens as a table, plus parse provenance and diagnostics.
 
-    records: tuple[SpeakerRecord, ...]
-    vowels: tuple[str, ...]
+    ``table`` is an ``estimate._token_table`` with sorted speaker ids and
+    vowels, its tokens in speaker order and in file order within a speaker.
+    ``groups`` holds each speaker's group label or None. ``records`` is a view
+    of the table, built on first access.
+    """
+
+    table: tuple
+    groups: tuple[str | None, ...]
     provenance: dict = field(default_factory=dict)
     diagnostics: tuple[RowIssue, ...] = ()
 
     @property
     def speaker_ids(self) -> tuple[str, ...]:
-        return tuple(r.speaker_id for r in self.records)
+        return self.table[0]
+
+    @property
+    def vowels(self) -> tuple[str, ...]:
+        return self.table[1]
 
     def n_tokens(self) -> int:
-        return sum(len(r.tokens) for r in self.records)
+        return len(self.table[2])
+
+    @functools.cached_property
+    def records(self) -> tuple[SpeakerRecord, ...]:
+        ids, vowels, rows, vowel_index, formants = self.table
+        tokens = [[] for _ in ids]
+        for row, vowel, values in zip(rows.tolist(), vowel_index.tolist(), formants.tolist()):
+            tokens[row].append(FormantSet._trusted(ids[row], vowels[vowel], tuple(values)))
+        return tuple(map(SpeakerRecord, ids, self.groups, tokens))
 
 
 def _group_from_rule(column_map: ColumnMap, speaker_id: str, regex_group: str | None):
@@ -162,9 +187,7 @@ def _group_from_rule(column_map: ColumnMap, speaker_id: str, regex_group: str | 
 
 
 def _split_id(column_map: ColumnMap, token: str):
-    """Returns (speaker_id, vowel_or_None, group_or_None) from the id cell."""
-    if column_map.id_regex is None:
-        return token, None, None
+    """Returns (speaker_id, vowel, group_or_None) from the id cell by ``id_regex``."""
     match = re.match(column_map.id_regex, token)
     if match is None:
         return None, None, None
@@ -174,93 +197,103 @@ def _split_id(column_map: ColumnMap, token: str):
     return speaker, parts["vowel"], group
 
 
-def _non_numeric(cells) -> str:
-    """The first cell that ``float()`` rejects."""
-    for cell in cells:
-        try:
-            float(cell)
-        except ValueError:
-            return cell
+def _number(cell):
+    """``float(cell)``, or None where ``float()`` rejects the cell."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
 
 
-def _assemble(numbered_cells, columns, column_map: ColumnMap, source: str) -> Corpus:
-    """Build a Corpus from the (line_no, cells) of each row, in file order.
+def _index(names, kept):
+    """The distinct ``names`` of the ``kept`` rows, sorted, and per kept row
+    the index of its name among them."""
+    code = dict.fromkeys(names, -1)
+    distinct = sorted(filter(None, code))  # a kept row's name is never empty
+    code.update(zip(distinct, range(len(distinct))))
+    present, index = np.unique(
+        np.fromiter(map(code.__getitem__, names), int, len(names))[kept], return_inverse=True
+    )
+    return tuple(distinct[c] for c in present.tolist()), index
+
+
+def _assemble(lines, rows, columns, column_map: ColumnMap, source: str) -> Corpus:
+    """Build a Corpus from the cells of each row and the line it starts on.
 
     ``columns`` holds the cell index of the id, the vowel (or None), the group
-    (or None) and each formant. The string checks and ``float()`` run row by
-    row; the rows that pass them form one float block whose masks make the
-    numeric checks, so each row is validated once.
+    (or None) and each formant. The checks run column by column, the numeric
+    ones as masks over one float block; a row is looked at on its own only
+    once a check rejects it, to name the reason.
     """
     id_idx, vowel_idx, group_idx, formant_idx = columns
     needed = max(i for i in (id_idx, vowel_idx, group_idx, *formant_idx) if i is not None)
-    issues: list[RowIssue] = []
-    names: dict[str, str] = {}
-    kept = []  # (line_no, speaker_id, vowel, group, formants) of the numeric rows
-    for line_no, cells in numbered_cells:
-        if len(cells) <= needed:
-            issues.append(RowIssue(line_no, "row too short for the mapped columns"))
-            continue
-        id_cell = cells[id_idx].strip()
-        speaker_id, id_vowel, id_group = _split_id(column_map, id_cell)
-        if speaker_id is None:
-            issues.append(RowIssue(line_no, f"id {id_cell!r} does not match id_regex"))
-            continue
-        if not speaker_id:
-            issues.append(RowIssue(line_no, "row has no speaker id"))
-            continue
-        vowel = cells[vowel_idx].strip() if vowel_idx is not None else id_vowel
-        if not vowel:
-            issues.append(RowIssue(line_no, "row has no vowel label"))
-            continue
-        formant_cells = [cells[i].strip() for i in formant_idx]
+    issues = []  # (line, reason) of each row too short for the columns
+    if min(map(len, rows), default=needed + 1) <= needed:
+        issues = [(n, "row too short for the mapped columns")
+                  for n, cells in zip(lines, rows) if len(cells) <= needed]
+        lines = [n for n, cells in zip(lines, rows) if len(cells) > needed]
+        rows = [cells for cells in rows if len(cells) > needed]
+    if not rows:
+        raise CorpusError(f"{source}: no valid rows")
+    cells = list(zip(*rows))
+
+    ids = list(map(str.strip, cells[id_idx]))
+    if column_map.id_regex is None:
+        speakers, id_vowels, id_groups = ids, None, [None] * len(ids)
+    else:
+        speakers, id_vowels, id_groups = zip(*(_split_id(column_map, i) for i in ids))
+    vowels = id_vowels if vowel_idx is None else list(map(str.strip, cells[vowel_idx]))
+    rejected = {}  # row: reason, from the first check that rejects it
+    if not (all(speakers) and all(vowels)):
+        rejected = {i: f"id {ids[i]!r} does not match id_regex" if speaker is None
+                    else "row has no speaker id" if not speaker else "row has no vowel label"
+                    for i, (speaker, vowel) in enumerate(zip(speakers, vowels))
+                    if not (speaker and vowel)}
+    block = np.empty((len(lines), len(formant_idx)))  # NaN where float() fails
+    for column, j in enumerate(formant_idx):
         try:
-            values = tuple(map(float, formant_cells))
+            block[:, column] = np.fromiter(map(float, cells[j]), float, len(lines))
         except ValueError:
-            bad = _non_numeric(formant_cells)
-            issues.append(RowIssue(line_no, f"non-numeric formant value {bad!r}"))
-            continue
-        group = cells[group_idx].strip() if group_idx is not None else _group_from_rule(
-            column_map, speaker_id, id_group
-        )
-        # one string object per distinct id and vowel, however many tokens share it
-        speaker_id, vowel = names.setdefault(speaker_id, speaker_id), names.setdefault(vowel, vowel)
-        kept.append((line_no, speaker_id, vowel, group, values))
+            values = list(map(_number, cells[j]))
+            block[:, column] = np.array(values, dtype=float)
+            for i in (i for i, value in enumerate(values) if value is None):
+                # the first formant float() rejects names the row
+                rejected.setdefault(i, f"non-numeric formant value {cells[j][i].strip()!r}")
 
-    block = np.array([row[-1] for row in kept], ndmin=2)  # (1, 0) when no row is kept
-    missing = (block == column_map.missing_sentinel).any(axis=1).tolist()
-    positive = (np.isfinite(block) & (block > 0)).all(axis=1).tolist()
-    ascending = (block[:, 1:] > block[:, :-1]).all(axis=1).tolist()
-    tokens: dict[str, list[FormantSet]] = {}
-    groups: dict[str, str | None] = {}
-    for (line_no, speaker_id, vowel, group, values), is_missing, is_positive, is_ascending in zip(
-        kept, missing, positive, ascending
-    ):
-        if is_missing:
-            reason = f"missing formant (sentinel {column_map.missing_sentinel:g})"
-        elif not is_positive:
-            reason = f"non-positive formant in {list(values)}"
-        elif not is_ascending:
-            reason = f"non-ascending formants {list(values)}"
-        else:
-            tokens.setdefault(speaker_id, []).append(FormantSet._trusted(speaker_id, vowel, values))
-            if groups.get(speaker_id) is None:
-                groups[speaker_id] = group or None
-            continue
-        issues.append(RowIssue(line_no, reason))
-
-    if not tokens:
+    missing = (block == column_map.missing_sentinel).any(axis=1)
+    positive = (np.isfinite(block) & (block > 0)).all(axis=1)
+    ascending = (block[:, 1:] > block[:, :-1]).all(axis=1)
+    for i in np.flatnonzero(missing | ~positive | ~ascending).tolist():
+        if i not in rejected:
+            rejected[i] = (
+                f"missing formant (sentinel {column_map.missing_sentinel:g})" if missing[i]
+                else f"non-positive formant in {block[i].tolist()}" if not positive[i]
+                else f"non-ascending formants {block[i].tolist()}"
+            )
+    keep = np.ones(len(lines), bool)
+    keep[list(rejected)] = False
+    kept = np.flatnonzero(keep)
+    if not kept.size:
         raise CorpusError(f"{source}: no valid rows")
 
-    records = tuple(
-        SpeakerRecord(speaker_id=sid, group=groups[sid], tokens=tuple(tokens[sid]))
-        for sid in sorted(tokens)
-    )
-    vowels = tuple(sorted({t.vowel for r in records for t in r.tokens}))
+    ids, speaker_rows = _index(speakers, kept)
+    vowels, vowel_index = _index(vowels, kept)
+    if group_idx is not None:
+        row_groups = list(map(str.strip, cells[group_idx]))
+    else:
+        row_groups = [s and _group_from_rule(column_map, s, g) for s, g in zip(speakers, id_groups)]
+    # a speaker's group is the first one named on its kept rows: the last to
+    # be written, in reverse file order
+    named = np.fromiter(map(bool, row_groups), bool, len(lines))[kept]
+    first = dict(zip(speaker_rows[named][::-1].tolist(),
+                     map(row_groups.__getitem__, kept[named][::-1].tolist())))
+    order = np.argsort(speaker_rows, kind="stable")
+    issues += [(lines[i], reason) for i, reason in rejected.items()]
     return Corpus(
-        records=records,
-        vowels=vowels,
+        (ids, vowels, speaker_rows[order], vowel_index[order], block[kept][order]),
+        tuple(map(first.get, range(len(ids)))),
         provenance={"source": source, "column_map_digest": column_map.digest()},
-        diagnostics=tuple(sorted(issues, key=lambda issue: issue.line)),  # lines ascend
+        diagnostics=tuple(RowIssue(*issue) for issue in sorted(issues)),  # lines ascend
     )
 
 
@@ -297,15 +330,6 @@ def _csv_columns(header: list[str], column_map: ColumnMap, source: str):
     return id_idx, vowel_idx, group_idx, formant_idx
 
 
-def _numbered_records(reader):
-    """(line_no, cells) per csv record. A record's line is the one after the line
-    the previous record ended on, so quoted newlines do not shift later lines."""
-    end = reader.line_num
-    for cells in reader:
-        yield end + 1, cells
-        end = reader.line_num
-
-
 def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
     """Read a formant corpus from CSV (header row required).
 
@@ -315,6 +339,25 @@ def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
     reported in the corpus diagnostics, in file order, with the line each
     record starts on. The file is read as a stream, once.
     """
+    corpus = _read_csv(path, column_map)
+    corpus.records  # built here, so that the parse call holds the cost of the records
+    return corpus
+
+
+def parse_table(path, column_map: ColumnMap) -> Corpus:
+    """Read a whitespace-separated legacy vowel table.
+
+    The first ``skip_lines`` lines are treated as the file header. After that,
+    lines whose id token does not match ``id_regex`` (or that are too short
+    for the mapped columns) are skipped with a diagnostic.
+    """
+    corpus = _read_table(path, column_map)
+    corpus.records  # built here, so that the parse call holds the cost of the records
+    return corpus
+
+
+def _read_csv(path, column_map: ColumnMap | None) -> Corpus:
+    """``parse_csv`` without building the records view."""
     path = str(path)
     column_map = column_map or ColumnMap()
     try:
@@ -325,20 +368,22 @@ def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
             except StopIteration:
                 raise CorpusError(f"{path}: empty file, header required") from None
             columns = _csv_columns(header, column_map, path)
-            return _assemble(_numbered_records(reader), columns, column_map, path)
+            # a record starts on the line after the one the previous record
+            # ended on, so quoted newlines do not shift later lines
+            lines, rows, end = [], [], reader.line_num
+            for cells in reader:
+                lines.append(end + 1)
+                rows.append(cells)
+                end = reader.line_num
+            return _assemble(lines, rows, columns, column_map, path)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise CorpusError(f"cannot parse corpus {path}: {exc}") from exc
 
 
-def parse_table(path, column_map: ColumnMap) -> Corpus:
-    """Read a whitespace-separated legacy vowel table.
-
-    The first ``skip_lines`` lines are treated as the file header. After that,
-    lines whose id token does not match ``id_regex`` (or that are too short
-    for the mapped columns) are skipped with a diagnostic.
-    """
+def _read_table(path, column_map: ColumnMap) -> Corpus:
+    """``parse_table`` without building the records view."""
     path = str(path)
     try:
         with open(path, encoding="utf-8", errors="replace") as handle:
@@ -359,12 +404,9 @@ def parse_table(path, column_map: ColumnMap) -> Corpus:
         column_map.formant_columns,
     )
     skip = column_map.skip_lines
-    numbered_cells = (
-        (line_no, cells)
-        for line_no, cells in enumerate(map(str.split, lines[skip:]), skip + 1)
-        if cells
-    )
-    return _assemble(numbered_cells, columns, column_map, path)
+    rows = list(map(str.split, lines[skip:]))
+    numbers = [line_no for line_no, cells in enumerate(rows, skip + 1) if cells]
+    return _assemble(numbers, list(filter(None, rows)), columns, column_map, path)
 
 
 def records_from_tokens(tokens, group: str | None = None) -> tuple[SpeakerRecord, ...]:
@@ -384,33 +426,57 @@ def records_from_tokens(tokens, group: str | None = None) -> tuple[SpeakerRecord
 _FLOAT_FORMAT = ".9g"
 
 
-def _canonicalize(value, path="$"):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _path(at) -> str:
+    """The ``$.a[3]`` form of an ``_encode`` position."""
+    return "$" if at is None else _path(at[0]) + at[1].format(at[2])
+
+
+def _encode(value, indent: str, at) -> str:
+    """The canonical JSON text of ``value``, its inner lines indented two
+    spaces more than ``indent``. ``at`` is its position: None at the top,
+    else its container's position, a step format and the key or index."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite float at {path}")
-        return float(format(value, _FLOAT_FORMAT))
-    if isinstance(value, np.integer):
-        return int(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float at {_path(at)}")
+        return repr(float(format(float(value), _FLOAT_FORMAT)))
     if isinstance(value, np.ndarray):
-        return _canonicalize(value.tolist(), path)
+        return _encode(value.tolist(), indent, at)
+    inner = indent + "  "
     if isinstance(value, dict):
-        out = {}
-        for key in value:
+        items = []
+        for key, item in value.items():  # in order, so the first bad entry is the one named
             if not isinstance(key, str):
-                raise ValueError(f"non-string key {key!r} at {path}")
-            out[key] = _canonicalize(value[key], f"{path}.{key}")
-        return out
-    if isinstance(value, (list, tuple)):
-        return [_canonicalize(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    raise ValueError(f"cannot serialize {type(value).__name__} at {path}")
+                raise ValueError(f"non-string key {key!r} at {_path(at)}")
+            items.append((key, _encode(item, inner, (at, ".{}", key))))
+        texts = [f"{json.encoder.encode_basestring_ascii(key)}: {text}"
+                 for key, text in sorted(items)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            texts = list(map(repr, map(float, map(format, value, [_FLOAT_FORMAT] * len(value)))))
+        else:
+            texts = [_encode(item, inner, (at, "[{}]", i)) for i, item in enumerate(value)]
+        brackets = "[]"
+    else:
+        raise ValueError(f"cannot serialize {type(value).__name__} at {_path(at)}")
+    if not texts:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}{brackets[1]}"
 
 
 def canonical_json(data) -> str:
-    """Deterministic JSON text: sorted keys, floats at 9 significant digits."""
-    return json.dumps(_canonicalize(data), sort_keys=True, indent=2, allow_nan=False)
+    """Deterministic JSON text: sorted keys, 2-space indent, floats at 9
+    significant digits, non-ASCII escaped. It is the text of
+    ``json.dumps(..., sort_keys=True, indent=2)``, made in one walk."""
+    return _encode(data, "", None)
 
 
 def write_bundle(artifact, path) -> None:

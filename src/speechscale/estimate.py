@@ -125,27 +125,27 @@ class ScaleEstimate:
         }
 
 
-def _select_vowels(records, vowels) -> tuple[str, ...]:
-    available = sorted({t.vowel for r in records for t in r.tokens})
-    if vowels is None:
-        selected = tuple(available)
-    else:
-        selected = tuple(dict.fromkeys(vowels))  # preserve order, drop dups
+def _select_vowels(table, vowels):
+    """The selected vowels (default: all) and the ``_subset`` of their tokens."""
+    selected = table[1] if vowels is None else tuple(dict.fromkeys(vowels))  # order kept, no dups
     if not selected:
         raise ValueError("empty vowel selection")
-    missing = [v for v in selected if v not in available]
+    missing = [v for v in selected if v not in table[1]]
     if missing:
         raise ValueError(f"vowels not present in any record: {missing}")
-    return selected
+    return selected, _subset(table, selected)
 
 
-def _token_table(records, vowels):
-    """The tokens of the selected vowels as arrays, in record and token order.
+def _token_table(records, vowels=None):
+    """The tokens of ``vowels`` (default: every vowel, sorted) as a table.
 
-    Returns per token the row of its speaker in ``records``, the index of its
-    vowel in ``vowels``, its formant count, and its formants in Hz padded
+    The table is ``(speaker_ids, vowels, rows, vowel_index, hz)``: the id of
+    each record, the vowels, and per token in record and token order the row
+    of its speaker, the index of its vowel and its formants in Hz, padded
     with NaN to the largest count.
     """
+    if vowels is None:
+        vowels = sorted({t.vowel for r in records for t in r.tokens})
     column = {v: j for j, v in enumerate(vowels)}
     tokens = [(row, t) for row, r in enumerate(records) for t in r.tokens if t.vowel in column]
     rows = np.fromiter((row for row, _ in tokens), int, len(tokens))
@@ -155,7 +155,20 @@ def _token_table(records, vowels):
     hz[np.arange(hz.shape[1]) < counts[:, np.newaxis]] = np.fromiter(
         (f for _, t in tokens for f in t.formants), float, counts.sum()
     )
-    return rows, vowel_index, counts, hz
+    return tuple(r.speaker_id for r in records), tuple(vowels), rows, vowel_index, hz
+
+
+def _subset(table, vowels):
+    """The tokens of ``vowels`` in a ``_token_table`` whose vowels are sorted,
+    as a table over the sorted ``vowels``, in the same token order."""
+    ids, available, rows, vowel_index, hz = table
+    vowels = tuple(sorted(vowels))
+    if vowels == available:
+        return table
+    at = [available.index(v) for v in vowels if v in available]
+    keep = np.isin(vowel_index, at)
+    hz = hz[keep][:, ~np.isnan(hz[keep]).all(axis=0)]  # no padding that no token needs
+    return ids, vowels, rows[keep], np.searchsorted(at, vowel_index[keep]), hz
 
 
 def choose_partition(
@@ -173,22 +186,26 @@ def choose_partition(
     and twice the last. ``explicit`` mode validates and returns ``boundaries``
     unchanged.
     """
+    table = None
+    if mode == "per_formant_index":
+        if not records:
+            raise ValueError("no records given")
+        table = _select_vowels(_token_table(records), vowels)[1]
+    return _partition(table, mode, boundaries)
+
+
+def _partition(table, mode: str, boundaries) -> BandPartition:
+    """``choose_partition`` from a ``_token_table`` of the selected vowels."""
     if mode == "explicit":
         if boundaries is None:
             raise ValueError("explicit mode requires boundaries")
         return BandPartition(tuple(float(b) for b in boundaries))
     if mode != "per_formant_index":
         raise ValueError(f"unknown partition mode {mode!r}")
-    if not records:
-        raise ValueError("no records given")
-    return _index_partition(_token_table(records, _select_vowels(records, vowels)))
-
-
-def _index_partition(table) -> BandPartition:
-    """``choose_partition``'s per-formant-index bands from a ``_token_table``."""
-    _, _, counts, hz = table
-    if not counts.size:
+    hz = table[4]
+    if not len(hz):
         raise ValueError("no tokens match the vowel selection")
+    counts = np.count_nonzero(~np.isnan(hz), axis=1)
     if np.any(counts != counts[0]):
         raise ValueError(
             "per-formant-index bands need a uniform formant count, "
@@ -219,22 +236,20 @@ def compute_shifts(
     records = list(records)
     if not records:
         raise ValueError("no records given")
-    vowels = _select_vowels(records, vowels)
-    table = _token_table(records, sorted(vowels))
+    selected, table = _select_vowels(_token_table(records), vowels)
     if partition is None:
-        partition = _index_partition(table)
-    return _shifts(records, vowels, table, partition, reference)
+        partition = _partition(table, "per_formant_index", None)
+    return _shifts(table, selected, partition, reference)
 
 
-def _shifts(records, vowels, table, partition: BandPartition, reference: str) -> ShiftMatrix:
-    """``compute_shifts`` from a ``_token_table`` of the vowels in sorted order."""
-    ids = [r.speaker_id for r in records]
+def _shifts(table, selected, partition: BandPartition, reference: str) -> ShiftMatrix:
+    """``compute_shifts`` from a ``_token_table`` of the ``selected`` vowels."""
+    ids, vowels, rows, vowel_index, hz = table
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate speaker ids")
 
     # mean ln(frequency) per speaker (row) and key (column); a key is a
     # (vowel, formant index) pair, and the columns are in sorted key order
-    rows, vowel_index, _, hz = table
     n_obs, log_sum = np.zeros((2, len(ids), len(vowels), hz.shape[1]))
     np.add.at(n_obs, (rows, vowel_index), (~np.isnan(hz)).astype(float))
     np.add.at(log_sum, (rows, vowel_index), np.nan_to_num(np.log(hz)))
@@ -243,7 +258,7 @@ def _shifts(records, vowels, table, partition: BandPartition, reference: str) ->
     lacking = ~has.any(axis=1)
     if lacking.any():
         sid = ids[np.argmax(lacking)]
-        raise ValueError(f"speaker {sid!r} has no tokens for vowels {list(vowels)}")
+        raise ValueError(f"speaker {sid!r} has no tokens for vowels {list(selected)}")
     table = np.divide(log_sum, n_obs, out=np.zeros_like(log_sum), where=has)
 
     if reference == GRAND_MEAN:
@@ -375,14 +390,15 @@ def estimate_scale(
     Fails if any estimated band exponent is non-positive, since the warp
     would then not be strictly increasing.
     """
-    records = list(records)
-    selected = _select_vowels(records, vowels)
-    table = _token_table(records, sorted(selected))  # token order does not depend on vowel order
-    if partition_mode == "per_formant_index":
-        partition = _index_partition(table)
-    else:
-        partition = choose_partition(records, selected, partition_mode, boundaries=boundaries)
-    shifts = _shifts(records, selected, table, partition, reference)
+    return _estimate(_token_table(list(records)), vowels, partition_mode, reference, boundaries,
+                     max_iters, tol)
+
+
+def _estimate(table, vowels, partition_mode, reference, boundaries, max_iters, tol):
+    """``estimate_scale`` from a ``_token_table`` of every vowel."""
+    selected, table = _select_vowels(table, vowels)
+    partition = _partition(table, partition_mode, boundaries)
+    shifts = _shifts(table, selected, partition, reference)
     fit = rank1_factor(shifts, max_iters=max_iters, tol=tol)
     if np.any(fit.betas <= 0):
         raise EstimationError(

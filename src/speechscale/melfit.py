@@ -72,13 +72,10 @@ class ScaleComparison:
 
     def to_dict(self) -> dict:
         table = [
-            {
-                "f": float(f),
-                "nu_calibrated": float(nu),
-                "eta_mel": float(eta),
-                "deviation": float(nu - eta),
-            }
-            for f, nu, eta in zip(self.frequencies, self.nu_calibrated, self.eta_mel)
+            {"f": f, "nu_calibrated": nu, "eta_mel": eta, "deviation": deviation}
+            for f, nu, eta, deviation in zip(self.frequencies.tolist(),
+                                             self.nu_calibrated.tolist(),
+                                             self.eta_mel.tolist(), self.deviations.tolist())
         ]
         return {
             "gain": self.gain,

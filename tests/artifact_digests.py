@@ -42,9 +42,9 @@ def run(argv) -> None:
         raise SystemExit(f"speechscale {' '.join(argv)} exited {code}")
 
 
-def digests(out_dir: Path) -> dict[str, str]:
+def digests(out_dir: Path, seeds=SEEDS) -> dict[str, str]:
     found = {}
-    for seed in SEEDS:
+    for seed in seeds:
         for name, make in (("csv", workloads.csv_corpus), ("table", workloads.table_corpus)):
             work = out_dir / f"seed{seed}" / name
             work.mkdir(parents=True, exist_ok=True)

@@ -8,13 +8,16 @@ is the library's earlier 1 Hz scan of the characteristic with magnitude
 screening of poles. The per-token references walk tokens one at a time through
 dicts and lists, as the library did before it reduced whole arrays, and
 ``reference_assemble`` checks corpus rows one at a time with numpy, as the
-parsers did before they validated one block per file. ``scaled_tract`` and
-``QuadraticLogWarp`` are test tools: a whole tract rescaled on its own, and a
-warp with a domain floor.
+parsers did before they validated one block per file.
+``reference_canonical_json`` copies a value into canonical form and hands it
+to ``json.dumps``, as the writer did before it made the text in one walk.
+``scaled_tract`` and ``QuadraticLogWarp`` are test tools: a whole tract
+rescaled on its own, and a warp with a domain floor.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ from speechscale import (
     mel_eval,
 )
 from speechscale.dataio import _group_from_rule, _split_id
+from speechscale.estimate import _token_table
 
 
 def tube_poles(config: TubeConfig, f_max: float) -> list[float]:
@@ -367,7 +371,9 @@ def reference_assemble(rows, column_map, source: str) -> Corpus:
         if formant_cells is None:
             issues.append(RowIssue(line_no, "row too short for the mapped columns"))
             continue
-        speaker_id, id_vowel, id_group = _split_id(column_map, id_cell)
+        speaker_id, id_vowel, id_group = (
+            _split_id(column_map, id_cell) if column_map.id_regex else (id_cell, None, None)
+        )
         if speaker_id is None:
             issues.append(RowIssue(line_no, f"id {id_cell!r} does not match id_regex"))
             continue
@@ -419,10 +425,40 @@ def reference_assemble(rows, column_map, source: str) -> Corpus:
         SpeakerRecord(speaker_id=sid, group=groups[sid], tokens=tuple(tokens[sid]))
         for sid in sorted(tokens)
     )
-    vowels = tuple(sorted({t.vowel for r in records for t in r.tokens}))
-    return Corpus(
-        records=records,
-        vowels=vowels,
+    corpus = Corpus(
+        _token_table(records),
+        tuple(r.group for r in records),
         provenance={"source": source, "column_map_digest": column_map.digest()},
         diagnostics=tuple(issues),
     )
+    corpus.__dict__["records"] = records  # the records built here, not the table's view
+    return corpus
+
+
+def _canonicalize(value, path="$"):
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite float at {path}")
+        return float(format(value, ".9g"))
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return _canonicalize(value.tolist(), path)
+    if isinstance(value, dict):
+        out = {}
+        for key in value:
+            if not isinstance(key, str):
+                raise ValueError(f"non-string key {key!r} at {path}")
+            out[key] = _canonicalize(value[key], f"{path}.{key}")
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_canonicalize(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    raise ValueError(f"cannot serialize {type(value).__name__} at {path}")
+
+
+def reference_canonical_json(data) -> str:
+    """``canonical_json`` by way of a canonical copy of ``data`` and ``json.dumps``."""
+    return json.dumps(_canonicalize(data), sort_keys=True, indent=2, allow_nan=False)

@@ -6,12 +6,18 @@ import pytest
 
 import helpers
 from speechscale import (
+    ColumnMap,
+    Corpus,
+    FormantSet,
     IncompleteScanWarning,
     STANDARD_MEL,
     TubeConfig,
     TubeSection,
+    align_population,
     characteristic,
+    estimate_scale,
     parse_csv,
+    parse_table,
     read_json,
     write_bundle,
     write_canonical_csv,
@@ -401,6 +407,37 @@ w05ae 250 208 792 0 2891 792 2064 2891
         assert alignment["vowel"] == "aw"
         groups = {r["id"] for r in alignment["per_speaker"]}
         assert groups == {"m01", "m02", "w03", "b04"}
+
+
+@pytest.mark.parametrize("layout", ["csv", "table"])
+def test_pipeline_builds_no_token_objects(tmp_path, monkeypatch, layout):
+    """The CLI reads the parsed token table and never builds records or
+    tokens, yet writes what the records API gives."""
+    if layout == "csv":
+        corpus = tmp_path / "c.csv"
+        write_injected_corpus(corpus)
+        flags = ()
+        parsed = parse_csv(corpus)
+    else:
+        corpus = tmp_path / "bigdata.dat"
+        corpus.write_text(TestPipelineTableFormat.TABLE, encoding="utf-8")
+        column_map = Path(__file__).resolve().parent.parent / "configs" / "hillenbrand_bigdata.json"
+        flags = ("--format", "table", "--column-map", column_map)
+        parsed = parse_table(corpus, ColumnMap.from_dict(read_json(column_map)))
+    estimate = estimate_scale(parsed.records)
+    write_bundle(estimate, tmp_path / "scale.json")
+    write_bundle(align_population(parsed.records, estimate.warp, parsed.vowels[0]),
+                 tmp_path / "alignment.json")
+
+    def refuse(*args):
+        raise AssertionError("the pipeline built a per-token object")
+
+    monkeypatch.setattr(Corpus, "records", property(refuse), raising=False)
+    monkeypatch.setattr(FormantSet, "_trusted", classmethod(refuse))
+    out = tmp_path / "run"
+    assert run("pipeline", "--corpus", corpus, *flags, "--out", out) == 0
+    for name in ("scale.json", "alignment.json"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestParser:

@@ -186,6 +186,12 @@ class TestParseTable:
         path = write(tmp_path, "t.dat", "m01ae 250 600 1800 2500\n")
         with pytest.raises(CorpusError):
             parse_table(path, ColumnMap())
+        # a negative or bool index would read some other column, or none
+        for columns in ((-9, 2, 3), (-1, 2, 3), (True, 2, 3)):
+            with pytest.raises(CorpusError, match="'formant_columns'"):
+                parse_table(path, ColumnMap.legacy_table(formant_columns=columns))
+        with pytest.raises(CorpusError, match="'id_column'"):
+            ColumnMap(id_column=False)
 
 
 class TestColumnMap:
@@ -218,6 +224,37 @@ class TestColumnMap:
         assert ColumnMap(missing_sentinel=np.float32(-1)).missing_sentinel == -1
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_LEAVES = st.one_of(
+    FINITE,
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 0.1, 1 / 3]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(["\u00e9", "\u2028", "\U0001f600", '"\\\n\t\x00\x7f', ""]),
+)
+# values canonical JSON rejects: non-finite floats and unsupported types
+BAD_LEAVES = st.sampled_from([math.inf, -math.inf, math.nan, np.float32("inf"), object(),
+                              {1, 2}, b"x", 1j, np.bool_(True)])
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_LEAVES, JSON_LEAVES, JSON_LEAVES, BAD_LEAVES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(FINITE, max_size=5),
+        st.lists(FINITE, max_size=4).map(np.array),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        # a key that is not a string
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3), st.none()), children,
+                        max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
 class TestCanonicalJson:
     def test_floats_at_nine_significant_digits(self):
         assert canonical_json({"x": math.pi}) == '{\n  "x": 3.14159265\n}'
@@ -239,6 +276,19 @@ class TestCanonicalJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             canonical_json({"x": object()})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=JSON_VALUES)
+    @example(data={"a": [1.0, 2.0, float("nan")], "b": {1: 2}})
+    @example(data=[{"é\n": -0.0, "z": (), "y": {}}, np.array([[5e-324, 1e16]]), np.float32(1e-7)])
+    def test_one_walk_matches_json_dumps(self, data):
+        def outcome(encode):
+            try:
+                return encode(data)
+            except ValueError as exc:  # the path in the message names the bad value
+                return f"ValueError: {exc}"
+
+        assert outcome(canonical_json) == outcome(helpers.reference_canonical_json)
 
 
 class TestBundles:
