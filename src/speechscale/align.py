@@ -98,9 +98,9 @@ def _align(table, warp: Warp, vowel: str) -> AlignmentResult:
     speakers, speaker_of_token = np.unique(rows, return_inverse=True)
     n_tokens = np.bincount(speaker_of_token)[:, np.newaxis]
     # aggregate across repeated tokens: geometric mean in Hz, plain mean in nu
-    log_sum, nu_sum = np.zeros((2, speakers.size, hz.shape[1]))
-    np.add.at(log_sum, speaker_of_token, np.log(hz))
-    np.add.at(nu_sum, speaker_of_token, nu)
+    cells = (speaker_of_token[:, np.newaxis] * hz.shape[1] + np.arange(hz.shape[1])).ravel()
+    log_sum, nu_sum = (np.bincount(cells, w.ravel(), speakers.size * hz.shape[1])
+                       .reshape(speakers.size, -1) for w in (np.log(hz), nu))
     raw = np.exp(log_sum / n_tokens)
     warped = nu_sum / n_tokens
 

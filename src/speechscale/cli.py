@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import sys
 from pathlib import Path
 
@@ -305,8 +304,7 @@ def _cmd_pipeline(args) -> None:
         entry = {"name": name, "path": filename, "sha256": None, "status": "skipped"}
         if failure is None:
             try:
-                write_bundle(stage(config, state), path)
-                entry.update(sha256=hashlib.sha256(path.read_bytes()).hexdigest(), status="ok")
+                entry.update(sha256=write_bundle(stage(config, state), path), status="ok")
             except Exception as exc:
                 failure = exc
                 entry.update(status="failed", error=str(exc))

@@ -6,6 +6,8 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
+import itertools
 import json
 import math
 import numbers
@@ -217,25 +219,26 @@ def _index(names, kept):
     return tuple(distinct[c] for c in present.tolist()), index
 
 
-def _assemble(lines, rows, columns, column_map: ColumnMap, source: str) -> Corpus:
-    """Build a Corpus from the cells of each row and the line it starts on.
+def _assemble(lines, cells, columns, column_map: ColumnMap, source: str) -> Corpus:
+    """Build a Corpus from the cells of the rows, column by column, and the
+    line each row starts on.
 
     ``columns`` holds the cell index of the id, the vowel (or None), the group
-    (or None) and each formant. The checks run column by column, the numeric
-    ones as masks over one float block; a row is looked at on its own only
-    once a check rejects it, to name the reason.
+    (or None) and each formant; a row whose cells stop before one of them
+    (None from ``zip_longest``) is too short. The checks run column by column,
+    the numeric ones as masks over one float block; a row is looked at on its
+    own only once a check rejects it, to name the reason.
     """
     id_idx, vowel_idx, group_idx, formant_idx = columns
     needed = max(i for i in (id_idx, vowel_idx, group_idx, *formant_idx) if i is not None)
     issues = []  # (line, reason) of each row too short for the columns
-    if min(map(len, rows), default=needed + 1) <= needed:
-        issues = [(n, "row too short for the mapped columns")
-                  for n, cells in zip(lines, rows) if len(cells) <= needed]
-        lines = [n for n, cells in zip(lines, rows) if len(cells) > needed]
-        rows = [cells for cells in rows if len(cells) > needed]
-    if not rows:
+    if len(cells) > needed and None in cells[needed]:
+        short = {i for i, cell in enumerate(cells[needed]) if cell is None}
+        issues = [(lines[i], "row too short for the mapped columns") for i in sorted(short)]
+        lines = [n for i, n in enumerate(lines) if i not in short]
+        cells = [[cell for i, cell in enumerate(column) if i not in short] for column in cells]
+    if not lines or len(cells) <= needed:
         raise CorpusError(f"{source}: no valid rows")
-    cells = list(zip(*rows))
 
     ids = list(map(str.strip, cells[id_idx]))
     if column_map.id_regex is None:
@@ -337,7 +340,7 @@ def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
     ``speaker_id, group, vowel, f1_hz ... fK_hz``. Rows failing validation
     (sentinel formants, non-numeric or non-ascending values) are excluded and
     reported in the corpus diagnostics, in file order, with the line each
-    record starts on. The file is read as a stream, once.
+    record starts on. The file is read once, as one string.
     """
     corpus = _read_csv(path, column_map)
     corpus.records  # built here, so that the parse call holds the cost of the records
@@ -357,25 +360,46 @@ def parse_table(path, column_map: ColumnMap) -> Corpus:
 
 
 def _read_csv(path, column_map: ColumnMap | None) -> Corpus:
-    """``parse_csv`` without building the records view."""
+    """``parse_csv`` without building the records view.
+
+    The file is read as one string. When it has no ``"``, its lines all end
+    in ``\\n`` or all in ``\\r\\n``, no line is empty or longer than
+    ``csv.field_size_limit()`` and every data line has the same number of
+    commas, ``csv.reader`` would give each line's ``split(",")``: the cells
+    are then one split of the body, taken column by column as slices, and
+    record i starts on line i + 2. Any other file goes through ``csv.reader``.
+    """
     path = str(path)
     column_map = column_map or ColumnMap()
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusError(f"{path}: empty file, header required") from None
-            columns = _csv_columns(header, column_map, path)
-            # a record starts on the line after the one the previous record
-            # ended on, so quoted newlines do not shift later lines
-            lines, rows, end = [], [], reader.line_num
-            for cells in reader:
-                lines.append(end + 1)
-                rows.append(cells)
-                end = reader.line_num
-            return _assemble(lines, rows, columns, column_map, path)
+            text = handle.read()
+        lines = text.split("\r\n" if "\r" in text else "\n")
+        ends = len(lines) - 1  # every "\n", and every "\r" if any, ends a line
+        same_ends = text.count("\n") == ends and text.count("\r") in (0, ends)
+        if not lines[-1]:
+            lines.pop()  # the last line's terminator
+        if (same_ends and len(lines) > 1 and '"' not in text and all(lines)
+                and max(map(len, lines)) <= csv.field_size_limit()
+                and len(set(map(str.count, lines[1:], [","] * ends))) == 1):
+            columns = _csv_columns(lines[0].split(","), column_map, path)
+            cells, width = ",".join(lines[1:]).split(","), lines[1].count(",") + 1
+            del text, lines  # the cells copy the text; keeping all three would raise the peak
+            cells = [cells[j::width] for j in range(width)]
+            return _assemble(range(2, len(cells[0]) + 2), cells, columns, column_map, path)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise CorpusError(f"{path}: empty file, header required")
+        columns = _csv_columns(header, column_map, path)
+        # a record starts on the line after the one the previous record
+        # ended on, so quoted newlines do not shift later lines
+        lines, rows, end = [], [], reader.line_num
+        for cells in reader:
+            lines.append(end + 1)
+            rows.append(cells)
+            end = reader.line_num
+        return _assemble(lines, list(itertools.zip_longest(*rows)), columns, column_map, path)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -406,7 +430,8 @@ def _read_table(path, column_map: ColumnMap) -> Corpus:
     skip = column_map.skip_lines
     rows = list(map(str.split, lines[skip:]))
     numbers = [line_no for line_no, cells in enumerate(rows, skip + 1) if cells]
-    return _assemble(numbers, list(filter(None, rows)), columns, column_map, path)
+    cells = list(itertools.zip_longest(*filter(None, rows)))
+    return _assemble(numbers, cells, columns, column_map, path)
 
 
 def records_from_tokens(tokens, group: str | None = None) -> tuple[SpeakerRecord, ...]:
@@ -426,77 +451,120 @@ def records_from_tokens(tokens, group: str | None = None) -> tuple[SpeakerRecord
 _FLOAT_FORMAT = ".9g"
 
 
-def _path(at) -> str:
-    """The ``$.a[3]`` form of an ``_encode`` position."""
-    return "$" if at is None else _path(at[0]) + at[1].format(at[2])
+class _Fault(Exception):
+    """What is wrong with a value ``canonical_json`` cannot write; ``index``
+    is its place among the values of a ``_column`` call, ``below`` its path
+    under that value."""
+
+    index, below = 0, ""
 
 
-def _encode(value, indent: str, at) -> str:
-    """The canonical JSON text of ``value``, its inner lines indented two
-    spaces more than ``indent``. ``at`` is its position: None at the top,
-    else its container's position, a step format and the key or index."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite float at {_path(at)}")
-        return repr(float(format(float(value), _FLOAT_FORMAT)))
-    if isinstance(value, np.ndarray):
-        return _encode(value.tolist(), indent, at)
+def _column(values, indent: str) -> list[str]:
+    """The canonical JSON texts of sibling ``values``, their inner lines
+    indented two spaces more than ``indent``: values of one type together,
+    mixed types, or a column that fails, one value at a time, so that the
+    ``_Fault`` names the first bad value in document order."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        try:
+            return _kind(kinds.pop(), values, indent)
+        except _Fault:
+            if len(values) == 1:
+                raise
+    texts = []
+    for i, value in enumerate(values):
+        try:
+            texts += _kind(type(value), [value], indent)
+        except _Fault as fault:
+            fault.index = i
+            raise
+    return texts
+
+
+def _kind(kind, values, indent: str) -> list[str]:
+    """``_column`` of values of one type: floats in one ``format`` map,
+    strings in one escape map, the items of lists as one column, and the
+    values of dicts that share their keys as one column per key (a lone
+    dict's values as one column), each dict's text one ``%`` template."""
+    if issubclass(kind, str):
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    if kind is type(None) or kind is bool:
+        return [json.dumps(value) for value in values]
+    if issubclass(kind, (int, np.integer)):
+        return list(map(repr, map(int, values)))
+    if issubclass(kind, (float, np.floating)):
+        if not all(map(math.isfinite, values)):
+            raise _Fault("non-finite float")
+        # a text with a "." and no exponent is already repr(float(text))
+        return [text if "." in text and "e" not in text else repr(float(text))
+                for text in map(format, map(float, values), [_FLOAT_FORMAT] * len(values))]
+    if issubclass(kind, np.ndarray):
+        return _column([value.tolist() for value in values], indent)
     inner = indent + "  "
-    if isinstance(value, dict):
-        items = []
-        for key, item in value.items():  # in order, so the first bad entry is the one named
-            if not isinstance(key, str):
-                raise ValueError(f"non-string key {key!r} at {_path(at)}")
-            items.append((key, _encode(item, inner, (at, ".{}", key))))
-        texts = [f"{json.encoder.encode_basestring_ascii(key)}: {text}"
-                 for key, text in sorted(items)]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            texts = list(map(repr, map(float, map(format, value, [_FLOAT_FORMAT] * len(value)))))
+    if issubclass(kind, (list, tuple)):
+        try:
+            texts = iter(_column([item for value in values for item in value], inner))
+        except _Fault as fault:  # right for a lone list; a column of many is walked again
+            fault.index, fault.below = 0, f"[{fault.index}]{fault.below}"
+            raise
+        return [f"[\n{inner}" + f",\n{inner}".join(itertools.islice(texts, n)) + f"\n{indent}]"
+                if n else "[]" for n in map(len, values)]
+    if not issubclass(kind, dict):
+        raise _Fault(f"cannot serialize {kind.__name__}")
+    keys = set(map(tuple, values))
+    if len(keys) > 1:
+        return [_column([value], indent)[0] for value in values]
+    keys = keys.pop()
+    good = next((p for p, key in enumerate(keys) if not isinstance(key, str)), len(keys))
+    flat = [item for value in values for item in value.values()]
+    try:
+        if len(values) == 1:
+            texts = [[text] for text in _column(flat[:good], inner)]
         else:
-            texts = [_encode(item, inner, (at, "[{}]", i)) for i, item in enumerate(value)]
-        brackets = "[]"
-    else:
-        raise ValueError(f"cannot serialize {type(value).__name__} at {_path(at)}")
-    if not texts:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}{brackets[1]}"
+            texts = [_column(flat[p::len(keys)], inner) for p in range(good)]
+    except _Fault as fault:
+        if len(values) == 1:  # a column of many is walked again, one dict at a time
+            fault.index, fault.below = 0, f".{keys[fault.index]}{fault.below}"
+        raise
+    if good < len(keys):
+        raise _Fault(f"non-string key {keys[good]!r}")
+    names = sorted(range(len(keys)), key=keys.__getitem__)
+    template = "".join(f",\n{inner}" + json.encoder.encode_basestring_ascii(keys[p])
+                       .replace("%", "%%") + ": %s" for p in names)[1:]
+    return (list(map(f"{{{template}\n{indent}}}".__mod__, zip(*(texts[p] for p in names))))
+            if keys else ["{}"] * len(values))
 
 
 def canonical_json(data) -> str:
     """Deterministic JSON text: sorted keys, 2-space indent, floats at 9
     significant digits, non-ASCII escaped. It is the text of
-    ``json.dumps(..., sort_keys=True, indent=2)``, made in one walk."""
-    return _encode(data, "", None)
+    ``json.dumps(..., sort_keys=True, indent=2)``, made column by column."""
+    try:
+        return _column([data], "")[0]
+    except _Fault as fault:
+        raise ValueError(f"{fault} at ${fault.below}") from None
 
 
-def write_bundle(artifact, path) -> None:
-    """Write an artifact (a dict or anything with ``to_dict``) as canonical JSON.
+def write_bundle(artifact, path) -> str:
+    """Write an artifact (a dict or anything with ``to_dict``) as canonical
+    JSON and return the sha256 of the bytes written.
 
     Identical inputs always produce byte-identical files. The text goes to a
     temporary file in the same directory that then replaces ``path``, so
     ``path`` never holds a partly written artifact.
     """
     data = artifact.to_dict() if hasattr(artifact, "to_dict") else artifact
-    text = canonical_json(data) + "\n"
+    encoded = (canonical_json(data) + "\n").encode("ascii")
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(temporary, "wb") as handle:
+            handle.write(encoded)
         os.replace(temporary, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(temporary)
         raise OSError(f"cannot write bundle {path}: {exc}") from exc
+    return hashlib.sha256(encoded).hexdigest()
 
 
 def read_json(path) -> dict:

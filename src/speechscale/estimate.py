@@ -250,10 +250,10 @@ def _shifts(table, selected, partition: BandPartition, reference: str) -> ShiftM
 
     # mean ln(frequency) per speaker (row) and key (column); a key is a
     # (vowel, formant index) pair, and the columns are in sorted key order
-    n_obs, log_sum = np.zeros((2, len(ids), len(vowels), hz.shape[1]))
-    np.add.at(n_obs, (rows, vowel_index), (~np.isnan(hz)).astype(float))
-    np.add.at(log_sum, (rows, vowel_index), np.nan_to_num(np.log(hz)))
-    n_obs, log_sum = n_obs.reshape(len(ids), -1), log_sum.reshape(len(ids), -1)
+    cells = ((rows * len(vowels) + vowel_index)[:, np.newaxis] * hz.shape[1]
+             + np.arange(hz.shape[1])).ravel()
+    n_obs, log_sum = (np.bincount(cells, w.ravel(), len(ids) * len(vowels) * hz.shape[1])
+                      .reshape(len(ids), -1) for w in (~np.isnan(hz), np.nan_to_num(np.log(hz))))
     has = n_obs > 0
     lacking = ~has.any(axis=1)
     if lacking.any():
@@ -275,9 +275,9 @@ def _shifts(table, selected, partition: BandPartition, reference: str) -> ShiftM
     used = partition.contains(np.exp(ref_log))  # False for keys without a reference
     bands = partition.band_index(np.exp(ref_log[used]))
     # each (speaker, band) sum adds the speaker's shifts in sorted key order
-    sums, counts = np.zeros((2, len(ids), partition.n_bands))
-    np.add.at(sums.T, bands, np.where(has, table - ref_log, 0.0)[:, used].T)
-    np.add.at(counts.T, bands, has[:, used].T.astype(float))
+    cells = (np.arange(len(ids))[:, np.newaxis] * partition.n_bands + bands).ravel()
+    sums, counts = (np.bincount(cells, w[:, used].ravel(), len(ids) * partition.n_bands)
+                    .reshape(len(ids), -1) for w in (np.where(has, table - ref_log, 0.0), has))
 
     mask = counts > 0
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=mask)

@@ -10,7 +10,7 @@ dicts and lists, as the library did before it reduced whole arrays, and
 ``reference_assemble`` checks corpus rows one at a time with numpy, as the
 parsers did before they validated one block per file.
 ``reference_canonical_json`` copies a value into canonical form and hands it
-to ``json.dumps``, as the writer did before it made the text in one walk.
+to ``json.dumps``, as the writer did before it wrote the text itself.
 ``scaled_tract`` and ``QuadraticLogWarp`` are test tools: a whole tract
 rescaled on its own, and a warp with a domain floor.
 """

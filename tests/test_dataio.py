@@ -118,6 +118,30 @@ class TestParseCsv:
         with pytest.raises(CorpusError):
             parse_csv(tmp_path / "nope.csv")
 
+    def test_csv_reader_only_for_files_split_cannot_read(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        expected = parse_csv(write(tmp_path, "c.csv", CSV_OK))
+        monkeypatch.setattr(csv, "reader", refuse)
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "split.csv"
+            path.write_bytes(CSV_OK.replace("\n", newline).encode())
+            corpus = parse_csv(path)
+            assert corpus.records == expected.records
+            assert corpus.diagnostics == expected.diagnostics
+        crlf = CSV_OK.replace("\n", "\r\n")
+        # a quoted field, mixed line ends, a lone carriage return, a blank header
+        for text in (CSV_OK.replace("s02", '"s02"'), CSV_OK.replace("\n", "\r\n", 1),
+                     crlf.replace("\r\ns02", "\rs02"), "\n" + CSV_OK):
+            with pytest.raises(AssertionError, match="csv.reader called"):
+                parse_csv(write(tmp_path, "other.csv", text))
+
+    def test_long_unquoted_cell_rejected(self, tmp_path):
+        text = CSV_OK + "s03,man,aa," + "9" * 131073 + ",1200,2500\n"
+        with pytest.raises(CorpusError, match="cannot parse corpus"):
+            parse_csv(write(tmp_path, "c.csv", text))
+
     def test_parse_is_deterministic(self, tmp_path):
         text = CSV_OK + "s03,man,aa,700,0,2500\ns04,man,aa,900,800,2500\n"
         path = write(tmp_path, "c.csv", text)
@@ -254,6 +278,26 @@ JSON_VALUES = st.recursive(
     max_leaves=24,
 )
 
+# Values shaped like artifact columns: floats that format without a "." or
+# with an exponent, lists of dicts that share their keys, and a large dict.
+COLUMN_FLOATS = st.one_of(FINITE, st.integers(-10**6, 10**6).map(float),
+                          st.floats(1e9, 1e16), st.just(-0.0))
+RECORDS = st.lists(st.fixed_dictionaries({
+    "alpha": COLUMN_FLOATS, "id": st.text(max_size=3), "n": st.integers(),
+    "hz": st.lists(COLUMN_FLOATS, max_size=4),
+}), min_size=2, max_size=12)
+# a bad or numpy value in the last record, where a column walk meets it last
+LATE_VALUES = st.tuples(RECORDS, st.sampled_from(["alpha", "hz"]), st.sampled_from(
+    [math.nan, math.inf, np.float64(2.5), np.float64("nan"), np.float64(1e12)])).map(
+    lambda r: [*r[0][:-1], {**r[0][-1], r[1]: r[2] if r[1] == "alpha" else [1.0, r[2]]}])
+COLUMN_VALUES = st.one_of(
+    RECORDS,
+    RECORDS.map(lambda records: {"per_speaker": records, "vowel": "aa"}),
+    LATE_VALUES.map(lambda records: {"per_speaker": records}),
+    st.lists(COLUMN_FLOATS, min_size=1, max_size=6).map(
+        lambda v: {f"p{i:04d}": v[i % len(v)] for i in range(520)}),
+)
+
 
 class TestCanonicalJson:
     def test_floats_at_nine_significant_digits(self):
@@ -278,7 +322,7 @@ class TestCanonicalJson:
             canonical_json({"x": object()})
 
     @settings(max_examples=300, deadline=None)
-    @given(data=JSON_VALUES)
+    @given(data=st.one_of(JSON_VALUES, COLUMN_VALUES))
     @example(data={"a": [1.0, 2.0, float("nan")], "b": {1: 2}})
     @example(data=[{"é\n": -0.0, "z": (), "y": {}}, np.array([[5e-324, 1e16]]), np.float32(1e-7)])
     def test_one_walk_matches_json_dumps(self, data):
@@ -394,6 +438,14 @@ class TestParsersRejectCleanly:
     # a quoted field beyond the csv module's field size limit
     @example(header="speaker_id,vowel,f1_hz", rows=[['"' + "9" * 131073 + '"']],
              trailing=b"")
+    # the same field unquoted, a lone carriage return, a blank line, ragged rows
+    @example(header="speaker_id,vowel,f1_hz", rows=[["s01", "aa", "9" * 131073]], trailing=b"")
+    @example(header="speaker_id,vowel,f1_hz", rows=[["s01", "aa", "700\rs02", "aa", "800"]],
+             trailing=b"\r")
+    @example(header="speaker_id,vowel,f1_hz", rows=[["s01", "aa", "700"], [], ["s02", "aa", "800"]],
+             trailing=b"\n")
+    @example(header="speaker_id,vowel,f1_hz", rows=[["s01", "aa", "700"], ["s02", "aa"],
+                                                    ["s03", "aa", "800", "x"]], trailing=b"")
     def test_arbitrary_input(self, header, rows, trailing):
         parsers = ((",", parse_csv), (" ", lambda path: parse_table(path, HILLENBRAND_MAP)))
         for separator, parse in parsers:
@@ -448,11 +500,16 @@ class TestParsersMatchReference:
             min_size=1,
             max_size=12,
         ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        ends=st.booleans(),
     )
-    def test_csv(self, count, sentinel, rows):
+    def test_csv(self, count, sentinel, rows, newline, ends):
         header = ["speaker_id", "group", "vowel"] + [f"f{i + 1}_hz" for i in range(count)]
         text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows([header, *rows])
+        csv.writer(text, lineterminator=newline).writerows([header, *rows])
+        data = text.getvalue()
+        if not ends and rows[-1]:  # a blank last row is there only with its terminator
+            data = data[:-len(newline)]
         # reference rows, each numbered by the physical line it starts on
         reference_rows, line_no = [], 2
         for cells in rows:
@@ -467,7 +524,7 @@ class TestParsersMatchReference:
         cmap = ColumnMap(missing_sentinel=sentinel)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.csv"
-            path.write_text(text.getvalue(), encoding="utf-8")
+            path.write_bytes(data.encode("utf-8"))
             expected = _outcome(lambda: helpers.reference_assemble(reference_rows, cmap, str(path)))
             assert _outcome(lambda: parse_csv(path, cmap)) == expected
 
