@@ -6,7 +6,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -219,25 +218,25 @@ def _index(names, kept):
     return tuple(distinct[c] for c in present.tolist()), index
 
 
-def _assemble(lines, cells, columns, column_map: ColumnMap, source: str) -> Corpus:
-    """Build a Corpus from the cells of the rows, column by column, and the
-    line each row starts on.
+def _assemble(lines, rows, columns, column_map: ColumnMap, source: str, cells=None) -> Corpus:
+    """Build a Corpus from the cells of each row and the line it starts on.
 
     ``columns`` holds the cell index of the id, the vowel (or None), the group
-    (or None) and each formant; a row whose cells stop before one of them
-    (None from ``zip_longest``) is too short. The checks run column by column,
+    (or None) and each formant. A caller whose rows all have one width may pass
+    their ``cells`` column by column instead. The checks run column by column,
     the numeric ones as masks over one float block; a row is looked at on its
     own only once a check rejects it, to name the reason.
     """
     id_idx, vowel_idx, group_idx, formant_idx = columns
     needed = max(i for i in (id_idx, vowel_idx, group_idx, *formant_idx) if i is not None)
     issues = []  # (line, reason) of each row too short for the columns
-    if len(cells) > needed and None in cells[needed]:
-        short = {i for i, cell in enumerate(cells[needed]) if cell is None}
-        issues = [(lines[i], "row too short for the mapped columns") for i in sorted(short)]
-        lines = [n for i, n in enumerate(lines) if i not in short]
-        cells = [[cell for i, cell in enumerate(column) if i not in short] for column in cells]
-    if not lines or len(cells) <= needed:
+    if cells is None and min(map(len, rows), default=needed + 1) <= needed:
+        issues = [(n, "row too short for the mapped columns")
+                  for n, row in zip(lines, rows) if len(row) <= needed]
+        lines = [n for n, row in zip(lines, rows) if len(row) > needed]
+        rows = [row for row in rows if len(row) > needed]
+    cells = list(zip(*rows)) if cells is None else cells  # no wider than the narrowest row
+    if not lines or len(cells) <= needed:  # too few given cells: every row is too short
         raise CorpusError(f"{source}: no valid rows")
 
     ids = list(map(str.strip, cells[id_idx]))
@@ -340,7 +339,7 @@ def parse_csv(path, column_map: ColumnMap | None = None) -> Corpus:
     ``speaker_id, group, vowel, f1_hz ... fK_hz``. Rows failing validation
     (sentinel formants, non-numeric or non-ascending values) are excluded and
     reported in the corpus diagnostics, in file order, with the line each
-    record starts on. The file is read once, as one string.
+    record starts on.
     """
     corpus = _read_csv(path, column_map)
     corpus.records  # built here, so that the parse call holds the cost of the records
@@ -360,46 +359,42 @@ def parse_table(path, column_map: ColumnMap) -> Corpus:
 
 
 def _read_csv(path, column_map: ColumnMap | None) -> Corpus:
-    """``parse_csv`` without building the records view.
-
-    The file is read as one string. When it has no ``"``, its lines all end
-    in ``\\n`` or all in ``\\r\\n``, no line is empty or longer than
-    ``csv.field_size_limit()`` and every data line has the same number of
-    commas, ``csv.reader`` would give each line's ``split(",")``: the cells
-    are then one split of the body, taken column by column as slices, and
-    record i starts on line i + 2. Any other file goes through ``csv.reader``.
-    """
+    """``parse_csv`` without building the records view. A text with no ``"``
+    or NUL, one kind of line end (``\\n`` or ``\\r\\n``), no blank line, none
+    over ``csv.field_size_limit()`` and as many commas on every data line is
+    one ``str.split``, sliced into columns; ``csv.reader`` reads other files."""
     path = str(path)
     column_map = column_map or ColumnMap()
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             text = handle.read()
         lines = text.split("\r\n" if "\r" in text else "\n")
-        ends = len(lines) - 1  # every "\n", and every "\r" if any, ends a line
-        same_ends = text.count("\n") == ends and text.count("\r") in (0, ends)
         if not lines[-1]:
             lines.pop()  # the last line's terminator
-        if (same_ends and len(lines) > 1 and '"' not in text and all(lines)
+        if (("\r" not in text or text.count("\r") == text.count("\n") == text.count("\r\n"))
+                and len(lines) > 1 and '"' not in text and "\0" not in text and all(lines)
                 and max(map(len, lines)) <= csv.field_size_limit()
-                and len(set(map(str.count, lines[1:], [","] * ends))) == 1):
+                and len(set(map(str.count, lines[1:], [","] * len(lines)))) == 1):
             columns = _csv_columns(lines[0].split(","), column_map, path)
             cells, width = ",".join(lines[1:]).split(","), lines[1].count(",") + 1
             del text, lines  # the cells copy the text; keeping all three would raise the peak
             cells = [cells[j::width] for j in range(width)]
-            return _assemble(range(2, len(cells[0]) + 2), cells, columns, column_map, path)
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, None)
-        if header is None:
-            raise CorpusError(f"{path}: empty file, header required")
-        columns = _csv_columns(header, column_map, path)
-        # a record starts on the line after the one the previous record
-        # ended on, so quoted newlines do not shift later lines
-        lines, rows, end = [], [], reader.line_num
-        for cells in reader:
-            lines.append(end + 1)
-            rows.append(cells)
-            end = reader.line_num
-        return _assemble(lines, list(itertools.zip_longest(*rows)), columns, column_map, path)
+            return _assemble(range(2, len(cells[0]) + 2), None, columns, column_map, path, cells)
+        del text, lines  # csv.reader streams the file again, row by row
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise CorpusError(f"{path}: empty file, header required")
+            columns = _csv_columns(header, column_map, path)
+            # a record starts on the line after the one the previous record
+            # ended on, so quoted newlines do not shift later lines
+            lines, rows, end = [], [], reader.line_num
+            for cells in reader:
+                lines.append(end + 1)
+                rows.append(cells)
+                end = reader.line_num
+            return _assemble(lines, rows, columns, column_map, path)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -415,9 +410,7 @@ def _read_table(path, column_map: ColumnMap) -> Corpus:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
 
-    if not isinstance(column_map.id_column, int) or any(
-        not isinstance(c, int) for c in column_map.formant_columns
-    ):
+    if not all(isinstance(c, int) for c in (column_map.id_column, *column_map.formant_columns)):
         raise CorpusError("table parsing needs integer column indices")
     if not column_map.formant_columns:
         raise CorpusError("table parsing needs explicit formant columns")
@@ -430,8 +423,7 @@ def _read_table(path, column_map: ColumnMap) -> Corpus:
     skip = column_map.skip_lines
     rows = list(map(str.split, lines[skip:]))
     numbers = [line_no for line_no, cells in enumerate(rows, skip + 1) if cells]
-    cells = list(itertools.zip_longest(*filter(None, rows)))
-    return _assemble(numbers, cells, columns, column_map, path)
+    return _assemble(numbers, list(filter(None, rows)), columns, column_map, path)
 
 
 def records_from_tokens(tokens, group: str | None = None) -> tuple[SpeakerRecord, ...]:
@@ -452,40 +444,36 @@ _FLOAT_FORMAT = ".9g"
 
 
 class _Fault(Exception):
-    """What is wrong with a value ``canonical_json`` cannot write; ``index``
-    is its place among the values of a ``_column`` call, ``below`` its path
-    under that value."""
+    """A value ``canonical_json`` cannot write; ``path`` leads to it from the level
+    it has been raised to."""
 
-    index, below = 0, ""
+    path = ""
 
 
-def _column(values, indent: str) -> list[str]:
-    """The canonical JSON texts of sibling ``values``, their inner lines
-    indented two spaces more than ``indent``: values of one type together,
-    mixed types, or a column that fails, one value at a time, so that the
-    ``_Fault`` names the first bad value in document order."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        try:
+def _column(values, indent: str, step=None) -> list[str]:
+    """The canonical JSON texts of sibling ``values``, inner lines indented two
+    spaces more than ``indent``: values of one type together, else one by one.
+    ``step(i)`` is the path step of value i when the values share a parent; a
+    column that fails is walked again one by one, to name the first bad value."""
+    try:
+        kinds = set(map(type, values))
+        if len(kinds) == 1:
             return _kind(kinds.pop(), values, indent)
-        except _Fault:
-            if len(values) == 1:
-                raise
-    texts = []
+        return [text for value in values for text in _kind(type(value), [value], indent)]
+    except _Fault:
+        if step is None:  # values of many parents: a column above walks them again
+            raise
     for i, value in enumerate(values):
         try:
-            texts += _kind(type(value), [value], indent)
+            _kind(type(value), [value], indent)
         except _Fault as fault:
-            fault.index = i
+            fault.path = step(i) + fault.path
             raise
-    return texts
 
 
 def _kind(kind, values, indent: str) -> list[str]:
-    """``_column`` of values of one type: floats in one ``format`` map,
-    strings in one escape map, the items of lists as one column, and the
-    values of dicts that share their keys as one column per key (a lone
-    dict's values as one column), each dict's text one ``%`` template."""
+    """``_column`` of values of one type: lists make one column of their items,
+    dicts that share their keys a column per key, each dict one ``%`` template."""
     if issubclass(kind, str):
         return list(map(json.encoder.encode_basestring_ascii, values))
     if kind is type(None) or kind is bool:
@@ -502,11 +490,8 @@ def _kind(kind, values, indent: str) -> list[str]:
         return _column([value.tolist() for value in values], indent)
     inner = indent + "  "
     if issubclass(kind, (list, tuple)):
-        try:
-            texts = iter(_column([item for value in values for item in value], inner))
-        except _Fault as fault:  # right for a lone list; a column of many is walked again
-            fault.index, fault.below = 0, f"[{fault.index}]{fault.below}"
-            raise
+        texts = iter(_column([item for value in values for item in value], inner,
+                             "[{}]".format if len(values) == 1 else None))
         return [f"[\n{inner}" + f",\n{inner}".join(itertools.islice(texts, n)) + f"\n{indent}]"
                 if n else "[]" for n in map(len, values)]
     if not issubclass(kind, dict):
@@ -517,15 +502,8 @@ def _kind(kind, values, indent: str) -> list[str]:
     keys = keys.pop()
     good = next((p for p, key in enumerate(keys) if not isinstance(key, str)), len(keys))
     flat = [item for value in values for item in value.values()]
-    try:
-        if len(values) == 1:
-            texts = [[text] for text in _column(flat[:good], inner)]
-        else:
-            texts = [_column(flat[p::len(keys)], inner) for p in range(good)]
-    except _Fault as fault:
-        if len(values) == 1:  # a column of many is walked again, one dict at a time
-            fault.index, fault.below = 0, f".{keys[fault.index]}{fault.below}"
-        raise
+    texts = (list(zip(_column(flat[:good], inner, lambda p: "." + keys[p]))) if len(values) == 1
+             else [_column(flat[p::len(keys)], inner) for p in range(good)])
     if good < len(keys):
         raise _Fault(f"non-string key {keys[good]!r}")
     names = sorted(range(len(keys)), key=keys.__getitem__)
@@ -540,19 +518,16 @@ def canonical_json(data) -> str:
     significant digits, non-ASCII escaped. It is the text of
     ``json.dumps(..., sort_keys=True, indent=2)``, made column by column."""
     try:
-        return _column([data], "")[0]
+        return _kind(type(data), [data], "")[0]
     except _Fault as fault:
-        raise ValueError(f"{fault} at ${fault.below}") from None
+        raise ValueError(f"{fault} at ${fault.path}") from None
 
 
 def write_bundle(artifact, path) -> str:
-    """Write an artifact (a dict or anything with ``to_dict``) as canonical
-    JSON and return the sha256 of the bytes written.
-
-    Identical inputs always produce byte-identical files. The text goes to a
-    temporary file in the same directory that then replaces ``path``, so
-    ``path`` never holds a partly written artifact.
-    """
+    """Write an artifact (a dict or anything with ``to_dict``) as canonical JSON
+    and return the sha256 of its bytes. Identical inputs give byte-identical
+    files. The text goes to a temporary file in the same directory that then
+    replaces ``path``, so ``path`` never holds a partly written artifact."""
     data = artifact.to_dict() if hasattr(artifact, "to_dict") else artifact
     encoded = (canonical_json(data) + "\n").encode("ascii")
     temporary = f"{path}.{os.getpid()}.tmp"

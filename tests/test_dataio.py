@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +132,11 @@ class TestParseCsv:
             assert corpus.records == expected.records
             assert corpus.diagnostics == expected.diagnostics
         crlf = CSV_OK.replace("\n", "\r\n")
-        # a quoted field, mixed line ends, a lone carriage return, a blank header
+        # a quoted field, mixed line ends, a lone carriage return, a blank header,
+        # a NUL (which csv.reader rejects before Python 3.11)
         for text in (CSV_OK.replace("s02", '"s02"'), CSV_OK.replace("\n", "\r\n", 1),
-                     crlf.replace("\r\ns02", "\rs02"), "\n" + CSV_OK):
+                     crlf.replace("\r\ns02", "\rs02"), "\n" + CSV_OK,
+                     CSV_OK.replace("woman", "wo\0man")):
             with pytest.raises(AssertionError, match="csv.reader called"):
                 parse_csv(write(tmp_path, "other.csv", text))
 
@@ -446,6 +449,10 @@ class TestParsersRejectCleanly:
              trailing=b"\n")
     @example(header="speaker_id,vowel,f1_hz", rows=[["s01", "aa", "700"], ["s02", "aa"],
                                                     ["s03", "aa", "800", "x"]], trailing=b"")
+    # one very wide row among narrow ones
+    @example(header="speaker_id,vowel,f1_hz", rows=[["s01", "aa", "700"],
+                                                    ["s02", "aa", "800", *["0"] * 100000]],
+             trailing=b"")
     def test_arbitrary_input(self, header, rows, trailing):
         parsers = ((",", parse_csv), (" ", lambda path: parse_table(path, HILLENBRAND_MAP)))
         for separator, parse in parsers:
@@ -457,6 +464,24 @@ class TestParsersRejectCleanly:
                     assert isinstance(parse(path), Corpus)
                 except CorpusError:
                     pass
+
+    @pytest.mark.parametrize("separator", [",", " "])
+    def test_wide_row_costs_its_own_width(self, tmp_path, separator):
+        # 1000 rows of 6 cells and one of 10006: the parse holds the cells it
+        # was given, not 1001 rows padded to the widest row (80 MB of slots)
+        row = separator.join(["m01ae", "man", "aa", "700", "1200", "2500"])
+        text = "\n".join(["speaker_id,group,vowel,f1_hz,f2_hz,f3_hz", *[row] * 1000,
+                          separator.join([row, *["0"] * 10000])]) + "\n"
+        path = write(tmp_path, "wide", text)
+        parse = parse_csv if separator == "," else lambda p: parse_table(p, HILLENBRAND_MAP)
+        tracemalloc.start()
+        try:
+            corpus = parse(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.n_tokens() == 1001
+        assert peak < 16e6
 
 
 # Rows for the reference test: every class of row the parsers tell apart.
