@@ -410,7 +410,9 @@ def _read_table(path, column_map: ColumnMap) -> Corpus:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
 
-    if not all(isinstance(c, int) for c in (column_map.id_column, *column_map.formant_columns)):
+    if not isinstance(column_map.id_column, int) or any(
+        not isinstance(c, int) for c in column_map.formant_columns
+    ):
         raise CorpusError("table parsing needs integer column indices")
     if not column_map.formant_columns:
         raise CorpusError("table parsing needs explicit formant columns")
@@ -456,9 +458,8 @@ def _column(values, indent: str, step=None) -> list[str]:
     ``step(i)`` is the path step of value i when the values share a parent; a
     column that fails is walked again one by one, to name the first bad value."""
     try:
-        kinds = set(map(type, values))
-        if len(kinds) == 1:
-            return _kind(kinds.pop(), values, indent)
+        if len(set(map(type, values))) == 1:
+            return _kind(type(values[0]), values, indent)
         return [text for value in values for text in _kind(type(value), [value], indent)]
     except _Fault:
         if step is None:  # values of many parents: a column above walks them again
