@@ -171,12 +171,14 @@ def _resonances(back_length, front_length, back_area, front_area, speed_of_sound
     return np.where(found, 0.5 * (lo_f + hi_f), np.nan)
 
 
-def _formant_set(roots: np.ndarray, f_max: float, speaker_id: str, vowel: str) -> FormantSet:
-    found = roots[~np.isnan(roots)]
-    if found.size < roots.size:
-        warnings.warn(f"only {found.size} of {roots.size} resonances found below {f_max} Hz",
-                      IncompleteScanWarning, stacklevel=3)
-    return FormantSet(speaker_id=speaker_id, vowel=vowel, formants=tuple(found.tolist()))
+def _warn_incomplete(roots, f_max, stacklevel):
+    """Each row's count of roots found (NaNs, roots above the scan, trail them),
+    with a warning ``stacklevel`` frames above the caller for each short row."""
+    found = np.count_nonzero(~np.isnan(roots), axis=1)
+    for n in found[found < roots.shape[1]].tolist():
+        warnings.warn(f"only {n} of {roots.shape[1]} resonances found below {f_max} Hz",
+                      IncompleteScanWarning, stacklevel=stacklevel + 1)
+    return found
 
 
 def formants(
@@ -206,7 +208,8 @@ def formants(
     back, front = _two_sections(config)
     roots = _resonances(np.array([[back.length]]), np.array([[front.length]]), back.area,
                         front.area, config.speed_of_sound, count, f_max, scan_step, tol)
-    return _formant_set(roots[0], f_max, speaker_id, vowel)
+    found = _warn_incomplete(roots, f_max, 2)[0]
+    return FormantSet._trusted(speaker_id, vowel, tuple(roots[0, :found].tolist()))
 
 
 def synth_population(
@@ -231,6 +234,17 @@ def synth_population(
     bisection (see ``formants``) solves every tract, so each speaker's formants
     equal ``formants`` of its own tract, short ones with a warning each.
     """
+    ids, roots = _population(base, speaker_count, oral_length_range, formant_count, seed,
+                             vary, f_max, tol)
+    found = _warn_incomplete(roots, f_max, 2)
+    return [FormantSet._trusted(speaker_id, vowel, tuple(row[:n]))
+            for speaker_id, row, n in zip(ids, roots.tolist(), found.tolist())]
+
+
+def _population(base, speaker_count, oral_length_range, formant_count, seed, vary, f_max,
+                tol=0.01):
+    """``synth_population`` as the speaker ids and a (speakers, formants) root
+    matrix, NaN where a resonance lies above the scan, with no warning."""
     lo, hi = float(oral_length_range[0]), float(oral_length_range[1])
     if speaker_count < 2:
         raise ValueError(f"a population needs at least 2 speakers, got {speaker_count}")
@@ -252,6 +266,4 @@ def synth_population(
     roots = _resonances(back_length, front_length, back.area, front.area,
                         base.speed_of_sound, formant_count, f_max, 1.0, tol)
     width = max(2, len(str(speaker_count - 1)))
-    return [
-        _formant_set(row, f_max, f"s{i:0{width}d}", vowel) for i, row in enumerate(roots)
-    ]
+    return [f"s{i:0{width}d}" for i in range(speaker_count)], roots

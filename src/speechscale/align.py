@@ -39,13 +39,10 @@ class AlignmentResult:
             "vowel": self.vowel,
             "warp_ref": self.warp_descriptor,
             "per_speaker": [
-                {
-                    "id": sid,
-                    "formants_raw_hz": self.formants_raw_hz[i].tolist(),
-                    "formants_warped": self.formants_warped[i].tolist(),
-                    "alpha": float(self.translations[i]),
-                }
-                for i, sid in enumerate(self.speaker_ids)
+                {"id": sid, "formants_raw_hz": raw, "formants_warped": warped, "alpha": alpha}
+                for sid, raw, warped, alpha in zip(
+                    self.speaker_ids, self.formants_raw_hz.tolist(),
+                    self.formants_warped.tolist(), self.translations.tolist())
             ],
             "spread_before": self.spread_before.tolist(),
             "spread_after": self.spread_after.tolist(),

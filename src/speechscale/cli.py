@@ -14,18 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustic import TubeConfig, synth_population
+from .acoustic import TubeConfig, _population, _warn_incomplete
 from .align import _align
 from .dataio import (
     ColumnMap,
     CorpusError,
     _read_csv,
     _read_table,
+    _write_csv,
     load_warp,
     read_json,
-    records_from_tokens,
     write_bundle,
-    write_canonical_csv,
 )
 from .estimate import GRAND_MEAN, EstimationError, _estimate
 from .melfit import STANDARD_MEL, compare_scales, fit_mel
@@ -172,28 +171,19 @@ def _cmd_synth(args) -> None:
         args.speed_of_sound,
     )
     vary = "all" if args.vary == "all" else "oral_only"
-    population = synth_population(
-        base,
-        args.speakers,
-        args.oral_range,
-        args.formants,
-        args.seed,
-        vary=vary,
-        f_max=args.f_max,
-        vowel=args.vowel,
-    )
-    for fs in population:
-        if len(fs) < args.formants:
-            raise ValueError(
-                f"speaker {fs.speaker_id} has only {len(fs)} resonances below --f-max "
-                f"{args.f_max:g} Hz, fewer than --formants {args.formants}; no corpus written"
-            )
-    records = records_from_tokens(population, group="synth")
-    write_canonical_csv(records, args.out)
-    means = np.exp(
-        np.mean(np.log([fs.formants for fs in population]), axis=0)
-    )
-    print(f"wrote {args.out}: {len(records)} speakers, vowel {args.vowel!r}")
+    ids, roots = _population(base, args.speakers, args.oral_range, args.formants, args.seed,
+                             vary, args.f_max)
+    found = _warn_incomplete(roots, args.f_max, 1)
+    short = np.flatnonzero(found < args.formants)
+    if short.size:
+        raise ValueError(
+            f"speaker {ids[short[0]]} has only {found[short[0]]} resonances below --f-max "
+            f"{args.f_max:g} Hz, fewer than --formants {args.formants}; no corpus written"
+        )
+    # zero-padded ids: index order is speaker-id order
+    _write_csv(args.out, [ids, ["synth"] * len(ids), [args.vowel] * len(ids), *roots.T.tolist()])
+    means = np.exp(np.mean(np.log(roots), axis=0))
+    print(f"wrote {args.out}: {len(ids)} speakers, vowel {args.vowel!r}")
     print("mean formants (Hz): " + ", ".join(f"{m:.1f}" for m in means))
 
 

@@ -187,15 +187,19 @@ def _group_from_rule(column_map: ColumnMap, speaker_id: str, regex_group: str | 
     return regex_group
 
 
-def _split_id(column_map: ColumnMap, token: str):
-    """Returns (speaker_id, vowel, group_or_None) from the id cell by ``id_regex``."""
-    match = re.match(column_map.id_regex, token)
-    if match is None:
-        return None, None, None
-    parts = match.groupdict()
-    group = parts.get("group")
-    speaker = (group or "") + parts["speaker"]
-    return speaker, parts["vowel"], group
+def _split_ids(id_regex: str, ids):
+    """The speaker ids, vowels and groups (or None) that ``id_regex`` finds in
+    the ``ids``, as three lists; a speaker id is the group then the speaker.
+    All three are None for an id the regex does not match."""
+    pattern = re.compile(id_regex)
+    grouped = "group" in pattern.groupindex
+    speakers, vowels, groups = split = [], [], []
+    for match in map(pattern.match, ids):
+        group = match["group"] if match and grouped else None
+        speakers.append(match and (group or "") + match["speaker"])
+        vowels.append(match and match["vowel"])
+        groups.append(group)
+    return split
 
 
 def _number(cell):
@@ -243,7 +247,7 @@ def _assemble(lines, rows, columns, column_map: ColumnMap, source: str, cells=No
     if column_map.id_regex is None:
         speakers, id_vowels, id_groups = ids, None, [None] * len(ids)
     else:
-        speakers, id_vowels, id_groups = zip(*(_split_id(column_map, i) for i in ids))
+        speakers, id_vowels, id_groups = _split_ids(column_map.id_regex, ids)
     vowels = id_vowels if vowel_idx is None else list(map(str.strip, cells[vowel_idx]))
     rejected = {}  # row: reason, from the first check that rejects it
     if not (all(speakers) and all(vowels)):
@@ -283,7 +287,10 @@ def _assemble(lines, rows, columns, column_map: ColumnMap, source: str, cells=No
     if group_idx is not None:
         row_groups = list(map(str.strip, cells[group_idx]))
     else:
-        row_groups = [s and _group_from_rule(column_map, s, g) for s, g in zip(speakers, id_groups)]
+        rule = dict.fromkeys(zip(speakers, id_groups))  # run once per distinct pair
+        for pair in rule:
+            rule[pair] = pair[0] and _group_from_rule(column_map, *pair)
+        row_groups = list(map(rule.__getitem__, zip(speakers, id_groups)))
     # a speaker's group is the first one named on its kept rows: the last to
     # be written, in reverse file order
     named = np.fromiter(map(bool, row_groups), bool, len(lines))[kept]
@@ -527,20 +534,28 @@ def canonical_json(data) -> str:
 def write_bundle(artifact, path) -> str:
     """Write an artifact (a dict or anything with ``to_dict``) as canonical JSON
     and return the sha256 of its bytes. Identical inputs give byte-identical
-    files. The text goes to a temporary file in the same directory that then
-    replaces ``path``, so ``path`` never holds a partly written artifact."""
+    files, written as ``_write_replacing`` writes."""
     data = artifact.to_dict() if hasattr(artifact, "to_dict") else artifact
     encoded = (canonical_json(data) + "\n").encode("ascii")
+    _write_replacing(path, "bundle", lambda handle: handle.write(encoded), mode="wb")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def _write_replacing(path, what: str, write, **options) -> None:
+    """Call ``write`` on a temporary file in ``path``'s directory, opened with
+    ``options``, that then replaces ``path``, so ``path`` never holds a partly
+    written file. The temporary file is removed if anything fails."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "wb") as handle:
-            handle.write(encoded)
+        with open(temporary, **options) as handle:
+            write(handle)
         os.replace(temporary, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temporary)
-        raise OSError(f"cannot write bundle {path}: {exc}") from exc
-    return hashlib.sha256(encoded).hexdigest()
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {what} {path}: {exc}") from exc
+        raise
 
 
 def read_json(path) -> dict:
@@ -569,25 +584,23 @@ def write_canonical_csv(records, path) -> None:
 
     Columns: ``speaker_id, group, vowel, f1_hz ... fK_hz`` with one row per
     token; formants are formatted at 9 significant digits so identical inputs
-    give byte-identical files.
+    give byte-identical files. The text goes to a temporary file that then
+    replaces ``path``, so ``path`` never holds a partly written corpus.
     """
-    records = list(records)
-    if not records:
+    rows = [(r.speaker_id, r.group or "", t.vowel, *t.formants) for r in records for t in r.tokens]
+    if not rows:
         raise ValueError("no records to write")
-    n_formants = {len(t.formants) for r in records for t in r.tokens}
-    if len(n_formants) != 1:
-        raise ValueError(f"mixed formant counts {sorted(n_formants)} in canonical CSV")
-    count = n_formants.pop()
-    header = ["speaker_id", "group", "vowel"] + [f"f{i + 1}_hz" for i in range(count)]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for record in records:
-                for token in record.tokens:
-                    writer.writerow(
-                        [record.speaker_id, record.group or "", token.vowel]
-                        + [format(f, _FLOAT_FORMAT) for f in token.formants]
-                    )
-    except OSError as exc:
-        raise OSError(f"cannot write corpus {path}: {exc}") from exc
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        raise ValueError(f"mixed formant counts {sorted(w - 3 for w in widths)} in canonical CSV")
+    _write_csv(path, list(zip(*rows)))
+
+
+def _write_csv(path, columns) -> None:
+    """Write the canonical CSV from its columns (speaker ids, groups, vowels,
+    then one column of floats per formant), as ``_write_replacing`` writes."""
+    header = ["speaker_id", "group", "vowel", *map("f{}_hz".format, range(1, len(columns) - 2))]
+    texts = [list(map(format, column, [_FLOAT_FORMAT] * len(column))) for column in columns[3:]]
+    rows = itertools.chain([header], zip(*columns[:3], *texts))
+    _write_replacing(path, "corpus", lambda handle: csv.writer(handle).writerows(rows),
+                     mode="w", newline="", encoding="utf-8")

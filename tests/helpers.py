@@ -18,6 +18,7 @@ rescaled on its own, and a warp with a domain floor.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from speechscale import (
     characteristic,
     mel_eval,
 )
-from speechscale.dataio import _group_from_rule, _split_id
+from speechscale.dataio import _group_from_rule
 from speechscale.estimate import _token_table
 
 
@@ -353,6 +354,17 @@ def reference_alignment(records, warp, vowel):
             raw.append(np.exp(np.mean(np.log([t.formants for t in tokens]), axis=0)))
             warped.append(np.mean([warp(t.formants) for t in tokens], axis=0))
     return tuple(ids), np.array(raw), np.array(warped)
+
+
+def _split_id(column_map, token: str):
+    """Returns (speaker_id, vowel, group_or_None) from one id cell by ``id_regex``."""
+    match = re.match(column_map.id_regex, token)
+    if match is None:
+        return None, None, None
+    parts = match.groupdict()
+    group = parts.get("group")
+    speaker = (group or "") + parts["speaker"]
+    return speaker, parts["vowel"], group
 
 
 def reference_assemble(rows, column_map, source: str) -> Corpus:

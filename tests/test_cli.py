@@ -1,4 +1,6 @@
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from speechscale import (
     FormantSet,
     IncompleteScanWarning,
     STANDARD_MEL,
+    SpeakerRecord,
     TubeConfig,
     TubeSection,
     align_population,
@@ -19,6 +22,8 @@ from speechscale import (
     parse_csv,
     parse_table,
     read_json,
+    records_from_tokens,
+    synth_population,
     write_bundle,
     write_canonical_csv,
 )
@@ -68,6 +73,63 @@ class TestSynth:
         assert f"speaker {speaker} has only 3 resonances" in err
         assert f"--f-max {f_max} Hz" in err
         assert "--formants 4" in err
+
+    @pytest.mark.parametrize("vary, formants, speakers, vowel", [
+        *itertools.product(("oral", "all"), (2, 3, 4, 5), (2, 10, 101), ("aa",)),
+        ("oral", 3, 10, 'a,"b'), ("all", 4, 101, 'a,"b'),
+    ])
+    def test_output_is_what_the_records_api_writes(
+        self, tmp_path, capsys, vary, formants, speakers, vowel
+    ):
+        out, expected = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert run("synth", "--vary", vary, "--formants", formants, "--speakers", speakers,
+                   "--seed", 11, "--vowel", vowel, "--out", out) == 0
+        population = synth_population(
+            TubeConfig.two_tube(0.09, 0.08, 1.0, 8.0), speakers, (0.06, 0.10), formants, 11,
+            vary="all" if vary == "all" else "oral_only", vowel=vowel,
+        )
+        write_canonical_csv(records_from_tokens(population, group="synth"), expected)
+        assert out.read_bytes() == expected.read_bytes()
+        # the stdout the CLI printed when it built the tokens
+        means = np.exp(np.mean(np.log([fs.formants for fs in population]), axis=0))
+        assert capsys.readouterr().out == (
+            f"wrote {out}: {speakers} speakers, vowel {vowel!r}\n"
+            "mean formants (Hz): " + ", ".join(f"{m:.1f}" for m in means) + "\n"
+        )
+
+    def test_builds_no_token_objects(self, tmp_path, monkeypatch):
+        expected = tmp_path / "api.csv"
+        write_canonical_csv(records_from_tokens(synth_population(
+            TubeConfig.two_tube(0.09, 0.08, 1.0, 8.0), 20, (0.06, 0.10), 3, 5), group="synth"),
+            expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synth built a per-token object")
+
+        monkeypatch.setattr(FormantSet, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(FormantSet, "__init__", refuse)
+        monkeypatch.setattr(SpeakerRecord, "__init__", refuse)
+        out = tmp_path / "cli.csv"
+        assert run("synth", "--seed", 5, "--out", out) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_short_speakers_warn_as_the_population_api_does(self, tmp_path, capsys):
+        # 3600 Hz cuts the fourth formant of some of the 20 speakers
+        with warnings.catch_warnings(record=True) as api:
+            warnings.simplefilter("always")
+            synth_population(TubeConfig.two_tube(0.09, 0.08, 1.0, 8.0), 20, (0.06, 0.10), 4,
+                             f_max=3600.0)
+        with warnings.catch_warnings(record=True) as cli:
+            warnings.simplefilter("always")
+            code = run("synth", "--formants", 4, "--f-max", 3600, "--out", tmp_path / "c.csv")
+        assert code == 2
+        assert "speaker s01 has only 3 resonances" in capsys.readouterr().err
+        assert 0 < len(api) < 20
+        assert [(w.category, str(w.message)) for w in cli] == [
+            (w.category, str(w.message)) for w in api]
+        assert {(w.category, str(w.message)) for w in api} == {
+            (IncompleteScanWarning, "only 3 of 4 resonances found below 3600.0 Hz")}
+        assert {w.filename for w in api} == {__file__}  # the caller's line, as `formants` gives
 
     def test_default_output_satisfies_the_resonance_condition(self, tmp_path):
         out = tmp_path / "c.csv"

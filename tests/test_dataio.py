@@ -15,6 +15,7 @@ from speechscale import (
     ColumnMap,
     Corpus,
     CorpusError,
+    FormantSet,
     PiecewiseWarp,
     canonical_json,
     estimate_scale,
@@ -417,6 +418,43 @@ class TestCanonicalCsv:
         write_canonical_csv(records, a)
         write_canonical_csv(records, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_nothing_or_mixed_counts_rejected(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        with pytest.raises(ValueError, match="no records to write"):
+            write_canonical_csv([], path)
+        records = records_from_tokens([FormantSet("s01", "aa", (700.0, 1200.0)),
+                                       FormantSet("s02", "aa", (600.0, 1100.0, 2500.0))])
+        with pytest.raises(ValueError, match=r"mixed formant counts \[2, 3\]"):
+            write_canonical_csv(records, path)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fault, raised", [
+        (OSError(28, "No space left on device"), OSError),
+        (KeyboardInterrupt(), KeyboardInterrupt),
+    ])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, fault, raised):
+        base = TubeConfig.two_tube(0.09, 0.08, 1.0, 8.0)
+        records = records_from_tokens(
+            synth_population(base, 4, (0.06, 0.10), 3, seed=7), group="synth"
+        )
+        path = tmp_path / "corpus.csv"
+        path.write_text("an earlier corpus\n", encoding="utf-8")
+
+        class Failing:  # fails on the first row, with the temporary file open
+            def __init__(self, handle):
+                assert not handle.closed and handle.name != str(path)
+
+            def writerows(self, rows):
+                raise fault
+
+        monkeypatch.setattr(csv, "writer", Failing)
+        with pytest.raises(raised) as info:
+            write_canonical_csv(records, path)
+        if raised is OSError:
+            assert "cannot write corpus" in str(info.value)
+        assert path.read_text(encoding="utf-8") == "an earlier corpus\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
 
 
 HILLENBRAND_MAP = ColumnMap.from_dict(json.loads(
