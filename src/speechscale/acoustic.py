@@ -8,6 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_SPEED_OF_SOUND = 350.0
+# the root search: a 1 Hz grid scan, then 7 halvings of its cell to a 0.01 Hz bracket
+SCAN_STEP_HZ = 1.0
+BRACKET_HZ = 0.01
 
 
 class IncompleteScanWarning(UserWarning):
@@ -127,16 +130,14 @@ def characteristic(config: TubeConfig, f):
 
 
 def _resonances(back_length, front_length, back_area, front_area, speed_of_sound,
-                count, f_max, scan_step, tol) -> np.ndarray:
+                count, f_max) -> np.ndarray:
     """Resonances 1..``count`` of a batch of tracts, one row per tract.
 
     Lengths are (tracts, 1) columns or scalars; a resonance above the last
-    ``scan_step`` grid point below ``f_max`` is NaN. See ``formants``.
+    grid point below ``f_max`` is NaN. See ``formants``.
     """
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError(f"f_max must be > 0, got {f_max!r}")
-    if scan_step <= 0 or tol <= 0:
-        raise ValueError("scan_step and tol must be > 0")
     n = np.arange(1, count + 1)
     low_sign = (-1.0) ** (n - 1)  # the sign g(f_{n-1}) keeps up to root n
 
@@ -147,7 +148,7 @@ def _resonances(back_length, front_length, back_area, front_area, speed_of_sound
         return low_sign * (0.5 * (front_area - back_area) * np.cos(x1 - x2)
                            + 0.5 * (front_area + back_area) * np.cos(x1 + x2))
 
-    grid = np.arange(0.0, f_max + 0.5 * scan_step, scan_step)
+    grid = np.arange(0.0, f_max + 0.5 * SCAN_STEP_HZ, SCAN_STEP_HZ)
     period = speed_of_sound / (2.0 * (back_length + front_length))
     # grid[lo] lies below root n and grid[hi] above it (hi == grid.size: above f_max)
     lo = np.searchsorted(grid, (n - 1) * period, side="right") - 1
@@ -159,11 +160,8 @@ def _resonances(back_length, front_length, back_area, front_area, speed_of_sound
 
     active = found = hi < grid.size
     lo_f, hi_f = grid[lo], grid[np.minimum(hi, grid.size - 1)]
-    for _ in range(200):  # only a tol below the float spacing reaches this cap
+    while (active := active & (hi_f - lo_f >= BRACKET_HZ)).any():
         mid = 0.5 * (lo_f + hi_f)
-        active = active & (hi_f - lo_f >= tol)
-        if not active.any():
-            break
         res = residual(mid)
         active = active & (res != 0.0)
         lo_f = np.where(active & (res > 0.0), mid, lo_f)
@@ -188,8 +186,6 @@ def formants(
     *,
     speaker_id: str = "tube",
     vowel: str = "aa",
-    scan_step: float = 1.0,
-    tol: float = 0.01,
 ) -> FormantSet:
     """Lowest ``count`` resonances of the two-section model below ``f_max``.
 
@@ -197,8 +193,8 @@ def formants(
     ``characteristic``). With ``f_n = n*c/(2*(L1+L2))``, ``g(f_n)`` has the
     sign of ``(-1)**n`` because ``|A2-A1| < A2+A1``, so resonance ``n`` is the
     one root in ``(f_{n-1}, f_n)``. All roots are bisected at once: first over
-    the points of a ``scan_step`` Hz grid to the grid cell holding the root,
-    then inside that cell until the bracket is narrower than ``tol`` Hz or
+    the points of a 1 Hz grid to the grid cell holding the root, then
+    inside that cell until the bracket is narrower than 0.01 Hz or
     ``g`` is exactly zero, returning the bracket's midpoint. A root above the
     grid's last point is not reported: the partial ascending list is returned
     and an ``IncompleteScanWarning`` is issued.
@@ -207,7 +203,7 @@ def formants(
         raise ValueError(f"count must be >= 1, got {count}")
     back, front = _two_sections(config)
     roots = _resonances(np.array([[back.length]]), np.array([[front.length]]), back.area,
-                        front.area, config.speed_of_sound, count, f_max, scan_step, tol)
+                        front.area, config.speed_of_sound, count, f_max)
     found = _warn_incomplete(roots, f_max, 2)[0]
     return FormantSet._trusted(speaker_id, vowel, tuple(roots[0, :found].tolist()))
 
@@ -222,7 +218,6 @@ def synth_population(
     vary: str = "oral_only",
     f_max: float = 8000.0,
     vowel: str = "aa",
-    tol: float = 0.01,
 ) -> list[FormantSet]:
     """Formant sets for a seeded population of tracts differing in cavity length.
 
@@ -235,14 +230,13 @@ def synth_population(
     equal ``formants`` of its own tract, short ones with a warning each.
     """
     ids, roots = _population(base, speaker_count, oral_length_range, formant_count, seed,
-                             vary, f_max, tol)
+                             vary, f_max)
     found = _warn_incomplete(roots, f_max, 2)
     return [FormantSet._trusted(speaker_id, vowel, tuple(row[:n]))
             for speaker_id, row, n in zip(ids, roots.tolist(), found.tolist())]
 
 
-def _population(base, speaker_count, oral_length_range, formant_count, seed, vary, f_max,
-                tol=0.01):
+def _population(base, speaker_count, oral_length_range, formant_count, seed, vary, f_max):
     """``synth_population`` as the speaker ids and a (speakers, formants) root
     matrix, NaN where a resonance lies above the scan, with no warning."""
     lo, hi = float(oral_length_range[0]), float(oral_length_range[1])
@@ -264,6 +258,6 @@ def _population(base, speaker_count, oral_length_range, formant_count, seed, var
         kappa = lengths / front.length  # every length * kappa, kappa = sampled/front
         back_length, front_length = back.length * kappa, front.length * kappa
     roots = _resonances(back_length, front_length, back.area, front.area,
-                        base.speed_of_sound, formant_count, f_max, 1.0, tol)
+                        base.speed_of_sound, formant_count, f_max)
     width = max(2, len(str(speaker_count - 1)))
     return [f"s{i:0{width}d}" for i in range(speaker_count)], roots

@@ -110,8 +110,7 @@ def _stage_estimate(config: dict, state: dict):
     mode, boundaries = _parse_partition(config["partition"])
     reference = config["reference"]
     reference = GRAND_MEAN if reference in ("grand-mean", GRAND_MEAN) else reference
-    estimate = _estimate(state["corpus"].table, config["vowels"], mode, reference, boundaries,
-                         config["max_iters"], config["tol"])
+    estimate = _estimate(state["corpus"].table, config["vowels"], mode, reference, boundaries)
     state["estimate"] = estimate
     return estimate
 
@@ -137,7 +136,7 @@ def _stage_fit_mel(config: dict, state: dict):
     lo, hi = config.get("grid") or (warp.partition.f_min, warp.partition.f_max)
     grid = np.geomspace(lo, hi, config["grid_points"])
     samples = np.column_stack([grid, warp(grid)])
-    fit = fit_mel(samples, b_range=config["b_range"], calibrate=config["calibrate"])
+    fit = fit_mel(samples, b_range=config["b_range"])
     comparison = compare_scales(warp, STANDARD_MEL, grid)
     return {
         **fit.to_dict(),
@@ -234,6 +233,10 @@ def _cmd_fit_mel(args) -> None:
         f"rms deviation {report['rms_deviation']:.3f}, "
         f"max {report['max_deviation']:.3f}"
     )
+    if report["b_at_bound"]:
+        lo, hi = args.b_range
+        print(f"  warning: b is at the {report['b_at_bound']} end of --b-range {lo:g}:{hi:g}; "
+              "the best fit may lie beyond it")
 
 
 # the JSON types a config file may give for a flag of each type
@@ -257,7 +260,7 @@ def _config_value(key: str, value, flag: dict):
 
 def _pipeline_config(args) -> dict:
     flags = {
-        kw.get("dest", name[2:].replace("-", "_")): _kwargs(kw, "pipeline")
+        name[2:].replace("-", "_"): _kwargs(kw, "pipeline")
         for name, commands, kw in _OPTIONS
         if "pipeline" in commands.split() and name != "--config"
     }
@@ -358,8 +361,6 @@ _OPTIONS = (
         default="per-formant", help="'per-formant' or 'explicit:b0,b1,...' in Hz")),
     ("--reference", "estimate pipeline", dict(
         default="grand-mean", help="'grand-mean' or a speaker id")),
-    ("--max-iters", "estimate pipeline", dict(type=int, default=500)),
-    ("--tol", "estimate pipeline", dict(type=float, default=1e-12)),
     ("--vowel", "synth align", dict(default={"synth": "aa"}, required={"align": True})),
     ("--warp", "align fit-mel", dict(
         required=True, help="warp JSON or scale-estimate bundle")),
@@ -368,9 +369,6 @@ _OPTIONS = (
     ("--grid", "fit-mel", dict(
         type=_pair, help="sampling range LO:HI in Hz (default: warp domain)")),
     ("--grid-points", "fit-mel pipeline", dict(type=int, default=200)),
-    ("--no-calibrate", "fit-mel pipeline", dict(
-        dest="calibrate", action="store_false",
-        help="skip the affine calibration of the samples")),
     ("--extend", "align fit-mel pipeline", dict(
         action="store_true", help="extend the first/last warp slope beyond its domain")),
     ("--out", "synth estimate align fit-mel pipeline", dict(default={

@@ -21,6 +21,10 @@ GRAND_MEAN = "grand_mean"
 
 DEGENERATE_RMS = 1e-12
 
+# the stopping rule of the rank-1 fit: an iteration cap and a relative decrease
+MAX_ITERS = 500
+TOL = 1e-12
+
 
 class EstimationError(ValueError):
     """The estimator cannot produce a valid scale from the given data."""
@@ -292,8 +296,8 @@ def _shifts(table, selected, partition: BandPartition, reference: str) -> ShiftM
 
 def rank1_factor(
     shifts: ShiftMatrix,
-    max_iters: int = 500,
-    tol: float = 1e-12,
+    max_iters: int = MAX_ITERS,
+    tol: float = TOL,
 ) -> Rank1Result:
     """Masked rank-1 least squares: find beta, c minimizing the observed
     squared error of ``delta[A, l] ~= beta_l * c_A``.
@@ -382,24 +386,21 @@ def estimate_scale(
     reference: str = GRAND_MEAN,
     *,
     boundaries=None,
-    max_iters: int = 500,
-    tol: float = 1e-12,
 ) -> ScaleEstimate:
     """Full estimation pipeline: partition, shift matrix, rank-1 fit, warp.
 
     Fails if any estimated band exponent is non-positive, since the warp
     would then not be strictly increasing.
     """
-    return _estimate(_token_table(list(records)), vowels, partition_mode, reference, boundaries,
-                     max_iters, tol)
+    return _estimate(_token_table(list(records)), vowels, partition_mode, reference, boundaries)
 
 
-def _estimate(table, vowels, partition_mode, reference, boundaries, max_iters, tol):
+def _estimate(table, vowels, partition_mode, reference, boundaries):
     """``estimate_scale`` from a ``_token_table`` of every vowel."""
     selected, table = _select_vowels(table, vowels)
     partition = _partition(table, partition_mode, boundaries)
     shifts = _shifts(table, selected, partition, reference)
-    fit = rank1_factor(shifts, max_iters=max_iters, tol=tol)
+    fit = rank1_factor(shifts)
     if np.any(fit.betas <= 0):
         raise EstimationError(
             f"non-monotone scale: estimated band exponents {fit.betas.tolist()} "
@@ -420,8 +421,8 @@ def _estimate(table, vowels, partition_mode, reference, boundaries, max_iters, t
             "options": {
                 "partition_mode": partition_mode,
                 "boundaries": None if boundaries is None else [float(b) for b in boundaries],
-                "max_iters": max_iters,
-                "tol": tol,
+                "max_iters": MAX_ITERS,
+                "tol": TOL,
             },
             "iterations": fit.iterations,
             "converged": fit.converged,

@@ -9,6 +9,7 @@ import numpy as np
 from .warp import Warp
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_B_RTOL = 1e-6  # the relative tolerance to which the corner is located
 
 DEFAULT_B_RANGE = (50.0, 5000.0)
 
@@ -37,18 +38,22 @@ class MelFitResult:
 
     ``affine`` is the (gain, offset) map applied to the input scale values so
     that ``gain*nu + offset ~= a*log10(1 + f/b)``; it is the identity when the
-    fit ran uncalibrated.
+    fit ran uncalibrated. ``b_at_bound`` names the end of the search range
+    (``"lower"`` or ``"upper"``) that the corner lies at, within the search
+    tolerance, so that the best corner may lie beyond it; else it is None.
     """
 
     params: MelParams
     affine: tuple[float, float]
     r_squared: float
     rms_error: float
+    b_at_bound: str | None
 
     def to_dict(self) -> dict:
         return {
             "params": {"a": self.params.a, "b": self.params.b},
             "affine": {"gain": self.affine[0], "offset": self.affine[1]},
+            "b_at_bound": self.b_at_bound,
             "r_squared": self.r_squared,
             "rms_error": self.rms_error,
         }
@@ -127,12 +132,12 @@ def _solve_for_b(f: np.ndarray, nu: np.ndarray, b: float, calibrate: bool):
     return float(resid @ resid), a, c
 
 
-def _golden_min(fun, lo: float, hi: float, rtol: float = 1e-6) -> float:
-    """Deterministic golden-section minimizer on [lo, hi]."""
+def _golden_min(fun, lo: float, hi: float) -> float:
+    """Deterministic golden-section minimizer on [lo, hi], to a relative ``_B_RTOL``."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
-    while hi - lo > rtol * 0.5 * (abs(lo) + abs(hi)):
+    while hi - lo > _B_RTOL * 0.5 * (abs(lo) + abs(hi)):
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
@@ -181,6 +186,8 @@ def fit_mel(samples, b_range=DEFAULT_B_RANGE, calibrate: bool = True) -> MelFitR
         affine=(1.0, -c),
         r_squared=1.0 - sse / sst,
         rms_error=float(np.sqrt(sse / f.size)),
+        b_at_bound=("lower" if b_star - b_lo <= _B_RTOL * b_star
+                    else "upper" if b_hi - b_star <= _B_RTOL * b_star else None),
     )
 
 

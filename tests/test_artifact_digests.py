@@ -16,9 +16,9 @@ PINNED = {
     "seed1/csv/corpus_summary.json":
         "f036b0568c6a0e648bc676196abed5566aaf0c7441f5498fde9dbee360c13616",
     "seed1/csv/manifest.json":
-        "34ce913f921d378233dccd345bcea419fb5738c2b2bd945548c3fb9adb219520",
+        "25a9357b84e515cb3bac059fdb2581ff084cfd6c0b715dd97f3d18088aba4731",
     "seed1/csv/melfit_report.json":
-        "72c11ff3aa9196c88a6a457a46213c9b3edb4ecaf0543d68da167b89601efe4e",
+        "5bfbf5c8921fd8949cf2d612515ea6307d5f2f06fbc07d11c93343948788e15a",
     "seed1/csv/scale.json":
         "af2dad88d4826fbf982a20c094fb336b9ede19ee96faaa3cc8996b5ece4ba9e3",
     "seed1/synth/0.csv":
@@ -38,9 +38,9 @@ PINNED = {
     "seed1/table/corpus_summary.json":
         "cea1384e04c7d1a6a816ec51ea503d7ff53a15d439718c3734d39388b17bc387",
     "seed1/table/manifest.json":
-        "28c5278fe2968a77e48af64246303c3c8de88c9535085fd133d1558afd498f61",
+        "a3e8f68f28cb917d2630e6ff06696b91606663a5101a0718f9055498e6b7d3db",
     "seed1/table/melfit_report.json":
-        "cb68f29c1a898c7d84d5edf4fd48a4c6ed0e0fff9e58e41e18cfb9d5d4bddbf4",
+        "696447250a910dead113aa8c62d7c84fe285259b996413b9b1ac0b48a3287301",
     "seed1/table/scale.json":
         "61474f86f993fe28e1050e99cf8a0ff220a11198c4d9c584f49ec840e96eb91b",
 }

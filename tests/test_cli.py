@@ -1,13 +1,18 @@
+import functools
 import itertools
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artifact_digests
 import helpers
+import speechscale.estimate
 from speechscale import (
+    BandPartition,
     ColumnMap,
     Corpus,
     FormantSet,
@@ -17,10 +22,12 @@ from speechscale import (
     TubeConfig,
     TubeSection,
     align_population,
+    build_piecewise,
     characteristic,
     estimate_scale,
     parse_csv,
     parse_table,
+    rank1_factor,
     read_json,
     records_from_tokens,
     synth_population,
@@ -28,6 +35,8 @@ from speechscale import (
     write_canonical_csv,
 )
 from speechscale.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
@@ -188,6 +197,16 @@ class TestEstimate:
         assert code == 2
         assert "band(s) 3152.88-7113.3Hz against reference 's00'" in capsys.readouterr().err
 
+    def test_iteration_cap_is_reported(self, tmp_path, capsys, monkeypatch):
+        corpus, out = tmp_path / "c.csv", tmp_path / "scale.json"
+        write_injected_corpus(corpus)
+        monkeypatch.setattr(speechscale.estimate, "rank1_factor",
+                            functools.partial(rank1_factor, max_iters=1))
+        assert run("estimate", "--corpus", corpus, "--out", out) == 0
+        provenance = read_json(out)["provenance"]
+        assert (provenance["iterations"], provenance["converged"]) == (1, False)
+        assert "warning: factorization hit the iteration cap" in capsys.readouterr().out
+
     def test_missing_corpus_is_user_error(self, tmp_path, capsys):
         assert run("estimate", "--corpus", tmp_path / "nope.csv") == 2
         assert "error" in capsys.readouterr().err
@@ -275,6 +294,24 @@ class TestFitMel:
         assert report["r_squared"] > 0.999
         assert {"params", "affine", "r_squared", "rms_error", "table"} <= set(report)
 
+    @pytest.mark.parametrize("betas, b_range, flag", [
+        ((1.0,) * 4, "50:5000", "lower"),  # a log warp has its corner at b -> 0
+        (None, "50:300", "upper"),  # a mel warp's 700 Hz lies above 300 Hz
+        (None, "50:5000", None),
+    ])
+    def test_corner_at_a_range_end_warns(self, tmp_path, capsys, betas, b_range, flag):
+        warp_path, out = tmp_path / "warp.json", tmp_path / "report.json"
+        warp = (helpers.mel_chord_warp(STANDARD_MEL) if betas is None
+                else build_piecewise(betas, BandPartition((100, 400, 1000, 2000, 4000))))
+        write_bundle(warp, warp_path)
+        assert run("fit-mel", "--warp", warp_path, "--b-range", b_range, "--out", out) == 0
+        assert read_json(out)["b_at_bound"] == flag
+        printed = capsys.readouterr().out
+        if flag:
+            assert f"warning: b is at the {flag} end of --b-range {b_range}" in printed
+        else:
+            assert "warning" not in printed
+
     def test_grid_outside_domain_is_user_error(self, tmp_path, capsys):
         warp_path = tmp_path / "warp.json"
         write_bundle(helpers.mel_chord_warp(STANDARD_MEL), warp_path)
@@ -350,30 +387,42 @@ class TestPipeline:
         expected = {
             "align_vowel": None,
             "b_range": [50.0, 5000.0],
-            "calibrate": True,
             "column_map": None,
             "corpus": str(corpus),
             "extend": False,
             "format": "csv",
             "grid_points": 200,
-            "max_iters": 500,
             "out": str(out),
             "partition": "per-formant",
             "reference": "grand-mean",
-            "tol": 1e-12,
             "vowels": None,
         }
         # json text tells 200 from 200.0 and True from 1
         assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
+    def test_readme_config_table_lists_every_key(self, tmp_path):
+        corpus = tmp_path / "c.csv"
+        write_injected_corpus(corpus)
+        assert run("pipeline", "--corpus", corpus, "--out", tmp_path / "run") == 0
+        config = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+        table = README.read_text(encoding="utf-8").split("| key | JSON type | default |")[1]
+        rows = [line.split("|")[1] for line in table.split("\n\n")[0].splitlines()[2:]]
+        assert sorted(re.findall(r"`(\w+)`", "".join(rows))) == sorted(config)
+
+    def test_table_corpus_reports_a_corner_at_the_lower_bound(self, tmp_path):
+        # the benchmark's seed-1 table corpus, whose corner golden-section
+        # search pins at 50 Hz
+        argv = artifact_digests.workloads.table_corpus(1, tmp_path).argv
+        artifact_digests.run(argv)
+        report = read_json(Path(argv[argv.index("--out") + 1]) / "melfit_report.json")
+        assert report["params"]["b"] == pytest.approx(50.0000175, rel=1e-6)
+        assert report["b_at_bound"] == "lower"
+
     @pytest.mark.parametrize("text, named", [
-        ('{"calibrate": "no"}', "'calibrate'"),
         ('{"extend": "false"}', "'extend'"),
         ('{"grid_points": "200"}', "'grid_points'"),
-        ('{"max_iters": 10.5}', "'max_iters'"),
         ('{"partition": 5}', "'partition'"),
         ('{"vowels": 5}', "'vowels'"),
-        ('{"tol": "1e-9"}', "'tol'"),
         ('{"out": 5}', "'out'"),
         ('{"b_range": [50]}', "'b_range'"),
         ("null", "JSON object"),
@@ -387,6 +436,18 @@ class TestPipeline:
         assert run("pipeline", "--config", config, "--corpus", corpus, "--out", out) == 2
         assert named in capsys.readouterr().err
         # no output directory, no manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "config.json"]
+
+    @pytest.mark.parametrize("key, value", [("max_iters", 10), ("tol", 1e-9),
+                                            ("calibrate", False)])
+    def test_removed_config_keys_rejected(self, tmp_path, capsys, key, value):
+        corpus = tmp_path / "c.csv"
+        write_injected_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert run("pipeline", "--config", config, "--corpus", corpus,
+                   "--out", tmp_path / "run") == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "config.json"]
 
     def test_stage_failure_marks_downstream_skipped(self, tmp_path, capsys):
@@ -520,6 +581,20 @@ class TestParser:
             assert info.value.code == 2
             err = capsys.readouterr().err
             assert f"argument {argv[-2]}: must look like LO:HI" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--corpus", "c.csv", "--max-iters", "10"],
+        ["pipeline", "--corpus", "c.csv", "--max-iters", "10"],
+        ["estimate", "--corpus", "c.csv", "--tol", "1e-9"],
+        ["pipeline", "--corpus", "c.csv", "--tol", "1e-9"],
+        ["fit-mel", "--warp", "w.json", "--no-calibrate"],
+        ["pipeline", "--corpus", "c.csv", "--no-calibrate"],
+    ])
+    def test_removed_flags_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[3:])}" in capsys.readouterr().err
 
     def test_bad_partition_spec_is_user_error(self, tmp_path):
         corpus = tmp_path / "c.csv"

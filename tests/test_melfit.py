@@ -124,6 +124,18 @@ class TestFitMel:
         with pytest.raises(ValueError):
             fit_mel(mel_samples(), b_range=(5000.0, 50.0))
 
+    @pytest.mark.parametrize("warp, b, flag", [
+        (np.log, 50.0000175, "lower"),  # the log warp is the b -> 0 limit
+        (lambda f: f, 4999.998, "upper"),  # no warp is the b -> infinity limit
+        (lambda f: mel_eval(STANDARD_MEL, f), 700.0, None),
+    ])
+    def test_corner_at_a_range_end_is_flagged(self, warp, b, flag):
+        f = np.geomspace(100.0, 8000.0, 200)
+        fit = fit_mel(np.column_stack([f, warp(f)]))
+        assert fit.params.b == pytest.approx(b, rel=1e-6)
+        assert fit.b_at_bound == flag
+        assert fit.to_dict()["b_at_bound"] == flag
+
 
 class TestCompareScales:
     def test_chord_warp_matches_generating_curve(self):
