@@ -428,6 +428,7 @@ class TestPipeline:
         ("null", "JSON object"),
         # settings that are no longer options
         ('{"max_iters": 10}', "unknown config keys: ['max_iters']"),
+        ('{"tol": "1e-9"}', "'tol'"),
         ('{"tol": 1e-9}', "unknown config keys: ['tol']"),
         ('{"calibrate": false}', "unknown config keys: ['calibrate']"),
     ])
